@@ -12,21 +12,48 @@ matching buys:
   how much of the gain comes from pairing *choice* vs pairing at all);
 * :func:`brute_force_schedule` — exact optimum by exhaustive pairing
   enumeration; exponential, used as the oracle in tests (n <= 12).
+
+Greedy and brute force score their candidates from the backlog's cost
+table, built once: :meth:`SicScheduler.precompute_costs` plus
+:meth:`SicScheduler.build_cost_graph`, the same ``t_ij`` and solo
+arrays blossom matches on.  Those arrays are pinned bit-identical to the
+scalar ``pair_cost``/``solo_cost`` path, so every candidate is scored
+with exactly the floats it would get if costed one by one.  Every policy
+assembles its one returned schedule through
+:meth:`SicScheduler.pairing_to_schedule` with the shared precompute,
+which re-costs the chosen pairs for their :class:`PairMode`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Sequence, Tuple
 
-from repro.scheduling.scheduler import Schedule, SicScheduler, UploadClient
+from repro.scheduling.scheduler import (
+    BacklogCosts,
+    Schedule,
+    SicScheduler,
+    UploadClient,
+)
 from repro.util.rng import SeedLike, make_rng
+
+
+def _cost_table(scheduler: SicScheduler, clients: Sequence[UploadClient],
+                ) -> Tuple[BacklogCosts, Dict[Tuple[int, int], float],
+                           List[float]]:
+    """The precompute, pair costs keyed ``(i, j)`` with ``i < j``, and
+    solo airtimes in backlog order."""
+    pre = scheduler.precompute_costs(clients)
+    costs, _ = scheduler.build_cost_graph(clients, pre)
+    return pre, costs, pre.solo_airtime_s.tolist()
 
 
 def serial_schedule(scheduler: SicScheduler,
                     clients: Sequence[UploadClient]) -> Schedule:
     """Every client transmits alone at its clean rate."""
-    return scheduler.pairing_to_schedule(clients, pairs=(),
-                                         solo=list(range(len(clients))))
+    return scheduler.pairing_to_schedule(
+        clients, pairs=(), solo=list(range(len(clients))),
+        precomputed=scheduler.precompute_costs(clients))
 
 
 def greedy_schedule(scheduler: SicScheduler,
@@ -34,28 +61,25 @@ def greedy_schedule(scheduler: SicScheduler,
     """Repeatedly take the pair with the largest saving over serial.
 
     Stops pairing when no remaining pair saves time; leftovers go solo.
+    Ties go to the first pair in index order (``max`` keeps the first).
     """
+    pre, costs, solos = _cost_table(scheduler, clients)
+
+    def saving(pair: Tuple[int, int]) -> float:
+        i, j = pair
+        return (solos[i] + solos[j]) - costs[pair]
+
     remaining = list(range(len(clients)))
     pairs: List[Tuple[int, int]] = []
     while len(remaining) >= 2:
-        best: Optional[Tuple[float, int, int]] = None
-        for a_pos in range(len(remaining)):
-            for b_pos in range(a_pos + 1, len(remaining)):
-                i, j = remaining[a_pos], remaining[b_pos]
-                cost = scheduler.pair_cost(clients[i], clients[j]).airtime_s
-                serial = (scheduler.solo_cost(clients[i])
-                          + scheduler.solo_cost(clients[j]))
-                saving = serial - cost
-                if best is None or saving > best[0]:
-                    best = (saving, i, j)
-        assert best is not None
-        saving, i, j = best
-        if saving <= 0.0:
+        best = max(combinations(remaining, 2), key=saving)
+        if saving(best) <= 0.0:
             break
-        pairs.append((i, j))
-        remaining.remove(i)
-        remaining.remove(j)
-    return scheduler.pairing_to_schedule(clients, pairs, solo=remaining)
+        pairs.append(best)
+        remaining.remove(best[0])
+        remaining.remove(best[1])
+    return scheduler.pairing_to_schedule(clients, pairs, solo=remaining,
+                                         precomputed=pre)
 
 
 def random_schedule(scheduler: SicScheduler,
@@ -67,7 +91,8 @@ def random_schedule(scheduler: SicScheduler,
     generator.shuffle(order)
     pairs = [(order[k], order[k + 1]) for k in range(0, len(order) - 1, 2)]
     solo = [order[-1]] if len(order) % 2 == 1 else []
-    return scheduler.pairing_to_schedule(clients, pairs, solo)
+    return scheduler.pairing_to_schedule(
+        clients, pairs, solo, precomputed=scheduler.precompute_costs(clients))
 
 
 def _pairings(indices: List[int]):
@@ -98,16 +123,28 @@ def brute_force_schedule(scheduler: SicScheduler,
 
     Searches every partition into pairs and singles, so it also proves
     that restricting the matching to a *perfect* one (with the dummy
-    node) loses nothing.
+    node) loses nothing.  It shares blossom's cost table but none of
+    its matching logic, which is what makes it an oracle.
+
+    Each candidate's total is the built-in ``sum()`` of its slot
+    durations in slot order (pairs in enumeration order, then solos):
+    the same floats, order and reduction as
+    :attr:`Schedule.total_time_s` of the assembled candidate.  On
+    Python 3.12+ ``sum()`` is compensated, so any other reduction could
+    pick a different winner among near-ties.  The first minimum wins
+    (``min`` keeps the first), and only the winner is assembled.
     """
     if len(clients) > max_clients:
         raise ValueError(
             f"brute force limited to {max_clients} clients, got {len(clients)}"
         )
-    best: Optional[Schedule] = None
-    for pairs, solo in _pairings(list(range(len(clients)))):
-        candidate = scheduler.pairing_to_schedule(clients, pairs, solo)
-        if best is None or candidate.total_time_s < best.total_time_s:
-            best = candidate
-    assert best is not None
-    return best
+    pre, costs, solos = _cost_table(scheduler, clients)
+
+    def total(candidate: Tuple[List[Tuple[int, int]], List[int]]) -> float:
+        pairs, solo = candidate
+        return sum([costs[pair] for pair in pairs]
+                   + [solos[i] for i in solo], 0.0)
+
+    pairs, solo = min(_pairings(list(range(len(clients)))), key=total)
+    return scheduler.pairing_to_schedule(clients, pairs, solo,
+                                         precomputed=pre)

@@ -72,7 +72,7 @@ class Schedule:
 
     @property
     def total_time_s(self) -> float:
-        return sum(slot.duration_s for slot in self.slots)
+        return sum((slot.duration_s for slot in self.slots), 0.0)
 
     @property
     def gain(self) -> float:
@@ -146,7 +146,7 @@ class BacklogCosts:
     rss_w: np.ndarray
     #: Solo transmit times (s), bit-identical to per-client ``solo_cost``.
     solo_airtime_s: np.ndarray
-    #: Left-to-right sum of the solo airtimes (the no-SIC baseline).
+    #: Built-in ``sum()`` of the solo airtimes (the no-SIC baseline).
     serial_time_s: float
 
 
@@ -183,7 +183,7 @@ class SicScheduler:
 
     def serial_time(self, clients: Sequence[UploadClient]) -> float:
         """The no-SIC baseline: every client transmits alone, in turn."""
-        return sum(self.solo_cost(c) for c in clients)
+        return sum((self.solo_cost(c) for c in clients), 0.0)
 
     def precompute_costs(self,
                          clients: Sequence[UploadClient]) -> BacklogCosts:
@@ -195,8 +195,8 @@ class SicScheduler:
         to skip recomputing solo airtimes and the serial baseline.
         Bit-identity with the scalar path holds because
         ``solo_airtime_batch`` is pinned element-identical to
-        ``solo_airtime`` and the serial sum is the same left-to-right
-        float accumulation.
+        ``solo_airtime`` and the serial sum is the same built-in
+        ``sum()`` over the same floats as :meth:`serial_time`.
         """
         n = len(clients)
         rss = np.fromiter((c.rss_w for c in clients), dtype=float, count=n)

@@ -230,10 +230,13 @@ class TestFig11:
 class TestFig12:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig12.compute(sizes=(3, 5, 8), n_trials=8, seed=2010)
+        # The defaults: exactly what `python -m repro.experiments all` runs.
+        return fig12.compute()
 
     def test_blossom_equals_brute_force(self, result):
-        for comparison in result["comparisons"]:
+        small = [c for c in result["comparisons"] if c.n_clients <= 8]
+        assert [c.n_clients for c in small] == [3, 5, 8]
+        for comparison in small:
             assert comparison.mean_times["blossom"] == pytest.approx(
                 comparison.mean_times["brute_force"], rel=1e-9)
 
