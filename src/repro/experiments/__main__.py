@@ -28,7 +28,8 @@ from repro.experiments.registry import (
     ordered_figures,
     run_experiment,
 )
-from repro.experiments.suite import default_suite_workers, run_suite
+from repro.experiments.runner import default_suite_workers
+from repro.experiments.suite import run_suite
 from repro.util.cache import atomic_write_text
 from repro.util.errors import run_cli
 

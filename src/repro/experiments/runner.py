@@ -1,10 +1,10 @@
 """Supervised chunked execution for the Monte-Carlo engines.
 
-PR 1's chunked substrate fanned chunks out to a ``ProcessPoolExecutor``
-and hoped: one crashed worker, one wedged pool, or one interrupt killed
-the whole sweep.  This module replaces that with a **supervisor** that
-keeps the hard invariant — results bit-identical to a fault-free serial
-run — while recovering from:
+Every batched engine splits its work into chunks and hands them to
+:func:`run_chunked` (seeded draws) or :func:`run_indexed` (an indexed
+map over precomputed items).  A **supervisor** drives the chunks to
+completion, keeping the hard invariant — results bit-identical to a
+fault-free serial run — while recovering from:
 
 * **chunk failures** — each failed chunk is retried under a
   :class:`~repro.util.faults.RetryPolicy` (bounded attempts,
@@ -41,29 +41,33 @@ Every recovery path is testable via the deterministic
 ``(engine, chunk_index, attempt)`` — no wall clock, no global
 randomness).
 
-Two execution substrates share all of the above. By default each pool
-round builds a private ``ProcessPoolExecutor`` (historical behaviour).
-When :attr:`ExecutionPolicy.pool` carries a shared suite pool
-(:class:`repro.experiments.suite.SuitePool`), rounds submit through the
-pool's per-engine lane instead — the supervisor logic (retries,
-watchdog, rebuild escalation, checkpoints) is unchanged; only *where*
-chunks execute moves.  Orthogonally, :attr:`ExecutionPolicy.transport`
+Pooled chunks always run on a :class:`SuitePool`: one persistent
+``ProcessPoolExecutor`` fed by a dispatcher thread from fair
+per-engine lanes.  The suite engine (:mod:`repro.experiments.suite`)
+shares one pool across figures through :attr:`ExecutionPolicy.pool`;
+a call with ``n_workers > 1`` and no shared pool opens a private pool
+for that call alone.  Orthogonally, :attr:`ExecutionPolicy.transport`
 enables the zero-copy chunk transport
 (:mod:`repro.experiments.transport`): workers park large results in
-shared memory and the supervisor decodes them on consumption,
-releasing any abandoned segments on every recovery path.
+shared memory and the supervisor decodes them on consumption; the pool
+releases any abandoned segment on every recovery path.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future
-from concurrent.futures import ProcessPoolExecutor, wait
+from collections import OrderedDict, deque
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
+                                InvalidStateError, ProcessPoolExecutor, wait)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Protocol, Union)
+from threading import Condition, RLock, Thread
+from typing import (Callable, Deque, Dict, List, Mapping, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -130,28 +134,6 @@ class _PoolBroken(Exception):
     """Internal: the current pool round is unusable (rebuild or degrade)."""
 
 
-class SharedRoundLike(Protocol):
-    """One pool round opened against a shared worker pool."""
-
-    def submit(self, fn: Callable[..., object], *args: object) -> Future:
-        """Queue one chunk attempt on the shared pool's lane."""
-
-    def broken(self) -> None:
-        """The supervisor declared this round broken; rebuild if still
-        on the generation this round was opened against."""
-
-    def abandon(self, futures: Iterable[Future]) -> None:
-        """Futures the supervisor will never consume: release any
-        transported result they already carry (or will carry)."""
-
-
-class SharedPoolLike(Protocol):
-    """A persistent pool shared by many supervisors (suite engine)."""
-
-    def open_round(self, lane: str) -> SharedRoundLike:
-        """Open a submission round on ``lane`` (one lane per engine)."""
-
-
 @dataclass(frozen=True)
 class Watchdog:
     """Hung-worker detection policy for pooled execution.
@@ -178,11 +160,6 @@ class Watchdog:
         if (self.heartbeat_interval_s is not None
                 and self.heartbeat_interval_s <= 0):
             raise ValueError("heartbeat_interval_s must be positive")
-
-    @property
-    def armed(self) -> bool:
-        return (self.chunk_deadline_s is not None
-                or self.heartbeat_interval_s is not None)
 
 
 class _WatchdogMonitor:
@@ -241,46 +218,31 @@ class ExecutionPolicy:
     directory is configured.  ``faults`` is the deterministic injector
     used by the resilience tests; production runs leave it ``None``.
 
-    ``watchdog`` supervises pooled rounds for hung workers; when it is
-    unset, a bare ``worker_timeout_s`` (the pre-watchdog knob, kept for
-    compatibility) arms a heartbeat-only watchdog.
+    ``watchdog`` supervises pooled rounds for hung workers.
 
-    ``pool`` plugs in a *shared* worker pool (the suite engine's
-    :class:`repro.experiments.suite.SuitePool`, or anything matching
-    its ``open_round``/``abandon`` protocol): pooled rounds then submit
-    chunks to that pool's per-engine lane instead of building and
-    tearing down a private ``ProcessPoolExecutor``, and a broken round
-    asks the shared pool to rebuild.  ``transport`` opts pooled chunk
-    results into the shared-memory transport
-    (:mod:`repro.experiments.transport`); ``transport_stats`` is the
-    parent-side byte counter the suite summary reads.  Neither knob
-    ever changes results — chunks stay pure functions of
-    ``(config, seed, size)``.
+    ``pool`` plugs in a *shared* :class:`SuitePool` (the suite
+    engine's): pooled rounds then submit chunks to that pool's
+    per-engine lane, and a broken round asks it to rebuild.  Without
+    one, a call with ``n_workers > 1`` opens a private pool for its own
+    duration.  ``transport`` opts pooled chunk results into the
+    shared-memory transport (:mod:`repro.experiments.transport`);
+    ``transport_stats`` is the parent-side byte counter the suite
+    summary reads.  Neither knob ever changes results — chunks stay
+    pure functions of ``(config, seed, size)``.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     max_pool_rebuilds: int = 2
-    worker_timeout_s: Optional[float] = None
     checkpoint_dir: Optional[Union[str, Path]] = None
     faults: Optional[FaultInjector] = None
     watchdog: Optional[Watchdog] = None
-    pool: Optional["SharedPoolLike"] = None
+    pool: Optional[SuitePool] = None
     transport: Optional[TransportPolicy] = None
     transport_stats: Optional[TransportStats] = None
 
     def __post_init__(self) -> None:
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be non-negative")
-        if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
-            raise ValueError("worker_timeout_s must be positive")
-
-    def effective_watchdog(self) -> Optional[Watchdog]:
-        """The armed watchdog for pooled rounds, or ``None``."""
-        if self.watchdog is not None:
-            return self.watchdog if self.watchdog.armed else None
-        if self.worker_timeout_s is not None:
-            return Watchdog(heartbeat_interval_s=self.worker_timeout_s)
-        return None
 
     @classmethod
     def from_env(cls) -> "ExecutionPolicy":
@@ -331,10 +293,6 @@ def seed_cache_token(
     return None
 
 
-#: Backwards-compatible alias (pre-indexed-runner name).
-_seed_cache_token = seed_cache_token
-
-
 def chunk_starts(sizes: List[int]) -> List[int]:
     """Start offsets of each chunk in the merged item order."""
     starts: List[int] = []
@@ -372,6 +330,353 @@ def _guarded_chunk(chunk_fn: ChunkFn, config: object, seed: SeedLike,
     if transport is not None:
         return encode_chunk(result, transport)
     return result
+
+
+# ---------------------------------------------------------------------------
+# The worker pool
+# ---------------------------------------------------------------------------
+
+#: Per-worker warmup sleep: long enough to force the pool to actually
+#: fork every worker before the figure threads start, cheap enough to
+#: be invisible in the suite wall time.
+_WARMUP_SLEEP_S = 0.02
+
+
+def _warmup(delay_s: float) -> int:
+    """Trivial pool task used to pre-fork workers; returns worker pid."""
+    # Not a retry backoff: this sleep only keeps the warmup task alive
+    # long enough that every pool worker forks before real work lands.
+    time.sleep(delay_s)  # repro-lint: disable=RPR303
+    return os.getpid()
+
+
+def _timed(fn: Callable[..., object],
+           args: Tuple[object, ...]) -> Tuple[object, float]:
+    """Run one pool task in the worker; return it with its duration.
+
+    Timing inside the worker keeps executor queue wait out of the
+    pool's busy time, so reported utilization never exceeds 100%.
+    """
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def default_suite_workers() -> int:
+    """Worker count the CLI uses when ``--workers`` is not given."""
+    return min(4, os.cpu_count() or 1)
+
+
+class LaneQueue:
+    """Fair round-robin queue of tasks keyed by lane name.
+
+    ``pop`` serves one task from the least-recently-served non-empty
+    lane, so a figure enqueueing hundreds of chunks cannot starve a
+    figure with three.  Not thread-safe on its own — :class:`SuitePool`
+    guards it with its condition lock.
+    """
+
+    def __init__(self) -> None:
+        self._lanes: "OrderedDict[str, Deque[object]]" = OrderedDict()
+
+    def push(self, lane: str, item: object) -> None:
+        self._lanes.setdefault(lane, deque()).append(item)
+
+    def pop(self) -> object:
+        """The next task in round-robin order; raises ``IndexError`` empty."""
+        for lane in list(self._lanes):
+            queue = self._lanes[lane]
+            if not queue:
+                del self._lanes[lane]
+                continue
+            item = queue.popleft()
+            # Rotate the served lane to the back so siblings go next.
+            self._lanes.move_to_end(lane)
+            if not queue:
+                del self._lanes[lane]
+            return item
+        raise IndexError("pop from empty LaneQueue")
+
+    def __len__(self) -> int:
+        return sum(len(queue) for queue in self._lanes.values())
+
+    def lanes(self) -> List[str]:
+        """Non-empty lane names, current round-robin order."""
+        return [lane for lane, queue in self._lanes.items() if queue]
+
+
+class _SuiteTask:
+    """One submitted chunk: the caller's proxy future plus its work."""
+
+    __slots__ = ("proxy", "fn", "args", "lane", "abandoned")
+
+    def __init__(self, proxy: Future, fn: Callable[..., object],
+                 args: Tuple[object, ...], lane: str) -> None:
+        self.proxy = proxy
+        self.fn = fn
+        self.args = args
+        self.lane = lane
+        self.abandoned = False
+
+
+def _fail_proxy(proxy: Future, exc: BaseException) -> None:
+    """Deliver a failure unless the proxy already settled."""
+    if proxy.cancelled():
+        return
+    try:
+        proxy.set_exception(exc)
+    except InvalidStateError:
+        pass
+
+
+class _SuiteRound:
+    """One supervisor round's view of the pool (one lane).
+
+    ``submit`` chunks, declare the round ``broken`` to request a pool
+    rebuild, ``abandon`` leftovers so their transported results are
+    released whenever they land.
+    """
+
+    def __init__(self, pool: SuitePool, lane: str, generation: int) -> None:
+        self._pool = pool
+        self._lane = lane
+        self._generation = generation
+
+    def submit(self, fn: Callable[..., object], *args: object) -> Future:
+        return self._pool._submit(self._lane, fn, args)
+
+    def broken(self) -> None:
+        self._pool._rebuild(self._generation)
+
+    def abandon(self, futures: List[Future]) -> None:
+        self._pool._abandon(futures)
+
+
+class SuitePool:
+    """A persistent supervised worker pool, shared or private.
+
+    Supervisors submit chunks through per-engine lanes
+    (:meth:`open_round`); a dispatcher thread drains the fair
+    round-robin queue into one long-lived ``ProcessPoolExecutor``,
+    throttled to ``2 x workers`` in-flight chunks so no single figure
+    floods the pool.  Callers receive proxy futures with ordinary
+    ``concurrent.futures`` semantics, so the supervisor's drain loop
+    works on them untouched.
+
+    An underlying chunk cancelled by a rebuild surfaces on its proxy
+    as ``BrokenProcessPool`` — *never* ``CancelledError``, which is a
+    ``BaseException`` and would sail past the supervisor's
+    ``except BrokenExecutor`` recovery path.
+    """
+
+    def __init__(self, n_workers: Optional[int] = None) -> None:
+        self.workers = n_workers if n_workers is not None \
+            else default_suite_workers()
+        if self.workers < 1:
+            raise ValueError("n_workers must be positive")
+        self.max_inflight = 2 * self.workers
+        self._cond = Condition(RLock())
+        self._queue = LaneQueue()
+        self._inflight = 0
+        self._generation = 0
+        self._closed = False
+        self._interrupt: Optional[BaseException] = None
+        self._tasks_done = 0
+        self._busy_s = 0.0
+        self._rebuilds = 0
+        self._lane_done: Dict[str, int] = {}
+        self._retired: List[ProcessPoolExecutor] = []
+        self._created_at = time.monotonic()
+        self._executor = self._new_executor()
+        # Fork every worker *now*, before figure threads exist — forking
+        # a many-threaded parent mid-run is the risky path.
+        wait([self._executor.submit(_warmup, _WARMUP_SLEEP_S)
+              for _ in range(self.workers)], timeout=60.0)
+        self._dispatcher = Thread(target=self._dispatch_loop,
+                                  name="suite-dispatcher", daemon=True)
+        self._dispatcher.start()
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def _new_executor(self) -> ProcessPoolExecutor:
+        # The tracker must exist before workers fork, or worker-created
+        # shared-memory segments register with per-worker trackers the
+        # parent's unlink never reaches (spurious leak warnings).
+        ensure_resource_tracker()
+        return ProcessPoolExecutor(max_workers=self.workers)
+
+    def __enter__(self) -> SuitePool:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the pool down; idempotent.
+
+        Queued chunks fail with ``BrokenProcessPool``; in-flight chunks
+        finish (their results are delivered or released as usual), then
+        every executor this pool ever owned is joined.
+        """
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            self._cond.notify_all()
+        self._dispatcher.join(timeout=60.0)
+        with self._cond:
+            executors = [self._executor] + self._retired
+            self._retired = []
+        for executor in executors:
+            executor.shutdown(wait=True)
+
+    def interrupt(self, exc: BaseException) -> None:
+        """Fail every queued chunk with ``exc`` (operator interrupt).
+
+        In-flight chunks are left to finish; each figure's supervisor
+        sees ``exc`` on its next proxy result, flushes its completed
+        chunks to the checkpoint store, and unwinds resumably.
+        """
+        with self._cond:
+            self._interrupt = exc
+            while len(self._queue):
+                task = self._queue.pop()
+                assert isinstance(task, _SuiteTask)
+                _fail_proxy(task.proxy, exc)
+            self._cond.notify_all()
+
+    # -- supervisor-facing API ---------------------------------------------
+
+    def open_round(self, lane: str) -> _SuiteRound:
+        """A round handle whose submissions ride the given lane."""
+        with self._cond:
+            return _SuiteRound(self, lane, self._generation)
+
+    def stats(self) -> Dict[str, object]:
+        """Utilization snapshot for the suite summary.
+
+        ``busy_s`` sums the worker-side run time of every chunk that
+        returned, so queue wait never counts as work.
+        """
+        with self._cond:
+            wall_s = time.monotonic() - self._created_at
+            busy_s = self._busy_s
+            capacity = wall_s * self.workers
+            return {
+                "workers": self.workers,
+                "tasks_done": self._tasks_done,
+                "busy_s": busy_s,
+                "wall_s": wall_s,
+                "rebuilds": self._rebuilds,
+                "utilization": busy_s / capacity if capacity > 0 else 0.0,
+                "lanes": dict(self._lane_done),
+            }
+
+    # -- internal ----------------------------------------------------------
+
+    def _submit(self, lane: str, fn: Callable[..., object],
+                args: Tuple[object, ...]) -> Future:
+        proxy: Future = Future()
+        task = _SuiteTask(proxy, fn, args, lane)
+        proxy._suite_task = task  # type: ignore[attr-defined]
+        with self._cond:
+            if self._interrupt is not None:
+                _fail_proxy(proxy, self._interrupt)
+            elif self._closed:
+                _fail_proxy(proxy, BrokenProcessPool("suite pool closed"))
+            else:
+                self._queue.push(lane, task)
+                self._cond.notify_all()
+        return proxy
+
+    def _abandon(self, futures: List[Future]) -> None:
+        """Disown proxies whose results nobody will consume."""
+        with self._cond:
+            for future in futures:
+                task = getattr(future, "_suite_task", None)
+                if isinstance(task, _SuiteTask):
+                    task.abandoned = True
+                future.cancel()
+                if future.done() and not future.cancelled() \
+                        and future.exception() is None:
+                    release_chunk(future.result())
+
+    def _rebuild(self, generation: int) -> None:
+        """Replace the executor, once per generation.
+
+        Every lane whose round broke against the same executor calls
+        this with the same generation; the first call swaps the
+        executor, the rest are no-ops against the already-bumped
+        counter.
+        """
+        with self._cond:
+            if generation != self._generation or self._closed:
+                return
+            old = self._executor
+            self._generation += 1
+            self._rebuilds += 1
+            self._executor = self._new_executor()
+            self._retired.append(old)
+        old.shutdown(wait=False, cancel_futures=True)
+
+    def _ready_locked(self) -> bool:
+        return len(self._queue) > 0 and self._inflight < self.max_inflight
+
+    def _dispatch_loop(self) -> None:
+        while True:
+            with self._cond:
+                while not self._closed and not self._ready_locked():
+                    self._cond.wait()
+                if self._closed:
+                    while len(self._queue):
+                        task = self._queue.pop()
+                        assert isinstance(task, _SuiteTask)
+                        _fail_proxy(task.proxy,
+                                    BrokenProcessPool("suite pool closed"))
+                    return
+                task = self._queue.pop()
+                assert isinstance(task, _SuiteTask)
+                if not task.proxy.set_running_or_notify_cancel():
+                    continue  # cancelled while queued
+                self._inflight += 1
+                executor = self._executor
+            try:
+                underlying = executor.submit(_timed, task.fn, task.args)
+            except BaseException as exc:  # broken/shut-down executor
+                with self._cond:
+                    self._inflight -= 1
+                    _fail_proxy(task.proxy, BrokenProcessPool(
+                        str(exc) or type(exc).__name__))
+                    self._cond.notify_all()
+                continue
+            underlying.add_done_callback(partial(self._on_done, task))
+
+    def _on_done(self, task: _SuiteTask, underlying: Future) -> None:
+        with self._cond:
+            self._inflight -= 1
+            self._tasks_done += 1
+            self._lane_done[task.lane] = self._lane_done.get(task.lane, 0) + 1
+            if underlying.cancelled():
+                # Rebuild cancelled it while queued on the old executor.
+                _fail_proxy(task.proxy, BrokenProcessPool(
+                    "shared pool rebuilt while the chunk was queued"))
+            else:
+                exc = underlying.exception()
+                if exc is not None:
+                    _fail_proxy(task.proxy, exc)
+                else:
+                    result, busy_s = underlying.result()
+                    self._busy_s += busy_s
+                    delivered = False
+                    if not task.abandoned:
+                        try:
+                            task.proxy.set_result(result)
+                            delivered = True
+                        except InvalidStateError:
+                            pass
+                    if not delivered:
+                        release_chunk(result)
+            self._cond.notify_all()
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +747,12 @@ class _Supervisor:
 
     def run(self, n_workers: int) -> Dict[int, ChunkResult]:
         self._restore_checkpointed()
-        pooled = n_workers > 1 or self.policy.pool is not None
-        if pooled and len(self.pending()) > 1:
-            self._run_pooled(n_workers)
+        pending = len(self.pending())
+        if pending > 1 and self.policy.pool is not None:
+            self._run_pooled(self.policy.pool)
+        elif pending > 1 and n_workers > 1:
+            with SuitePool(min(n_workers, pending)) as pool:
+                self._run_pooled(pool)
         self._run_inline()
         return self.results
 
@@ -459,11 +767,11 @@ class _Supervisor:
                     self._finish_chunk(index, chunk)
                     break
 
-    def _run_pooled(self, n_workers: int) -> None:
+    def _run_pooled(self, pool: SuitePool) -> None:
         """Pool rounds with rebuild-on-break; degrades after the budget."""
         while len(self.pending()) > 1:
             try:
-                self._pool_round(n_workers)
+                self._pool_round(pool)
                 return
             except _PoolBroken as exc:
                 self.pool_failures += 1
@@ -474,8 +782,8 @@ class _Supervisor:
                         stacklevel=2)
                     return  # the inline pass finishes the sweep
 
-    def _pool_round(self, n_workers: int) -> None:
-        """One pool lifetime: submit all pending chunks, drain, retry.
+    def _pool_round(self, pool: SuitePool) -> None:
+        """One round on the pool's lane: submit all pending chunks, drain.
 
         Raises :class:`_PoolBroken` when the pool dies (for real, or by
         injection) so the caller can rebuild with only missing chunks.
@@ -485,53 +793,14 @@ class _Supervisor:
         faults = self.policy.faults
         if faults is not None and faults.should_break_pool(round_index):
             raise _PoolBroken(f"injected pool break (round {round_index})")
-        pending = self.pending()
-        if self.policy.pool is not None:
-            self._shared_round(self.policy.pool, pending)
-        else:
-            self._owned_round(n_workers, pending)
-
-    def _owned_round(self, n_workers: int, pending: List[int]) -> None:
-        """Historical mode: a private pool built for this round only."""
-        workers = min(n_workers, len(pending))
-        if self.policy.transport is not None:
-            ensure_resource_tracker()
-        futures: Dict[Future, int] = {}
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                self._submit_and_drain(pool.submit, futures, pending)
-        finally:
-            # The ``with`` exit waited for in-flight attempts, so every
-            # future is settled here; release transported results that
-            # nobody consumed (watchdog cancellations, broken rounds).
-            _release_abandoned(futures)
-
-    def _shared_round(self, shared: SharedPoolLike,
-                      pending: List[int]) -> None:
-        """Suite mode: chunks ride the shared pool's per-engine lane."""
-        handle = shared.open_round(self.engine)
-        futures: Dict[Future, int] = {}
-        try:
-            try:
-                self._submit_and_drain(handle.submit, futures, pending)
-            except _PoolBroken:
-                handle.broken()
-                raise
-        finally:
-            # Futures may still be in flight on the shared pool; the
-            # pool releases their transported results on arrival.
-            handle.abandon(list(futures))
-
-    def _submit_and_drain(self, submit: SubmitFn,
-                          futures: Dict[Future, int],
-                          pending: List[int]) -> None:
-        """Submit every pending chunk through ``submit`` and drain."""
+        handle = pool.open_round(self.engine)
+        submit = handle.submit
         monitor = None
-        watchdog = self.policy.effective_watchdog()
-        if watchdog is not None:
-            monitor = _WatchdogMonitor(watchdog)
+        if self.policy.watchdog is not None:
+            monitor = _WatchdogMonitor(self.policy.watchdog)
+        futures: Dict[Future, int] = {}
         try:
-            for index in pending:
+            for index in self.pending():
                 futures[submit(
                     _guarded_chunk,
                     *self._submit_args(index, pooled=True))] = index
@@ -539,7 +808,15 @@ class _Supervisor:
                     monitor.submitted(index)
             self._drain(submit, futures, monitor)
         except BrokenExecutor as exc:
+            handle.broken()
             raise _PoolBroken(str(exc) or type(exc).__name__) from exc
+        except _PoolBroken:
+            handle.broken()
+            raise
+        finally:
+            # Futures may still be in flight; the pool releases their
+            # transported results on arrival.
+            handle.abandon(list(futures))
 
     def _drain(self, submit: SubmitFn,
                futures: Dict[Future, int],
@@ -598,22 +875,8 @@ class _Supervisor:
                 self._finish_chunk(index, self._decoded(future.result()))
 
 
-def _release_abandoned(futures: Dict[Future, int]) -> None:
-    """Unlink transported results of settled-but-unconsumed futures.
-
-    Called after an owned round's pool has shut down (every future is
-    settled by then): any successful result still sitting in ``futures``
-    was never decoded, so its shared-memory segment must be released
-    here or it would outlive the run.
-    """
-    for future in futures:
-        if future.done() and not future.cancelled() \
-                and future.exception() is None:
-            release_chunk(future.result())
-
-
 # ---------------------------------------------------------------------------
-# Public entry point
+# Public entry points
 # ---------------------------------------------------------------------------
 
 def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
@@ -633,9 +896,8 @@ def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
     if n_workers < 1:
         raise ValueError("n_workers must be positive")
     kwargs = dict(kwargs or {})
-    policy = policy if policy is not None else ExecutionPolicy.from_env()
     sizes = chunk_sizes(config.n_samples, chunk_size)
-    token = _seed_cache_token(seed)
+    token = seed_cache_token(seed)
 
     run_key = None
     if token is not None:
@@ -646,27 +908,11 @@ def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
                    "chunk_sizes": sizes,
                    "kwargs": kwargs}
 
-    store = _resolve_cache(cache)
-    key = run_key if store.enabled else None
-    if key is not None:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-
-    checkpoint = None
-    if policy.checkpoint_dir is not None and run_key is not None:
-        checkpoint = CheckpointStore(policy.checkpoint_dir, run_key,
-                                     n_chunks=len(sizes))
-
-    seeds = chunk_seeds(seed, len(sizes))
-    supervisor = _Supervisor(engine, chunk_fn, config, seeds, sizes,
-                             kwargs, policy, checkpoint)
-    chunks = supervisor.run(n_workers)
-
-    merged = _merge_chunks(chunks, len(sizes))
-    if key is not None:
-        store.put(key, merged)
-    return merged
+    # Seeds are spawned only on a cache miss, so a cached call leaves a
+    # caller's SeedSequence untouched.
+    return _run_supervised(engine, chunk_fn, config, sizes, kwargs,
+                           run_key, partial(chunk_seeds, seed, len(sizes)),
+                           n_workers, cache, policy)
 
 
 def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
@@ -699,7 +945,6 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
     if n_items < 0:
         raise ValueError("n_items must be non-negative")
     kwargs = dict(kwargs or {})
-    policy = policy if policy is not None else ExecutionPolicy.from_env()
     sizes = chunk_sizes(n_items, chunk_size)
     if not sizes:  # n_items == 0 with a finite chunk_size
         sizes = [0]
@@ -713,6 +958,26 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
                    "chunk_sizes": sizes,
                    "kwargs": kwargs}
 
+    # Start offsets ride in the supervisor's per-chunk seed slot: chunk
+    # i evaluates the pure function (config, starts[i], sizes[i]).
+    return _run_supervised(engine, chunk_fn, config, sizes, kwargs,
+                           run_key, partial(chunk_starts, sizes),
+                           n_workers, cache, policy)
+
+
+def _run_supervised(engine: str, chunk_fn: ChunkFn, config: object,
+                    sizes: List[int], kwargs: Mapping[str, object],
+                    run_key: Optional[Mapping[str, object]],
+                    make_seeds: Callable[[], List[SeedLike]],
+                    n_workers: int, cache: Optional[ResultCache],
+                    policy: Optional[ExecutionPolicy]) -> ChunkResult:
+    """Serve ``run_key`` from the cache, or supervise, merge and store.
+
+    ``run_key`` (``None`` when the run cannot be replayed) keys both the
+    result cache and the checkpoint store; ``make_seeds`` yields each
+    chunk's seed slot and is called only when the chunks must run.
+    """
+    policy = policy if policy is not None else ExecutionPolicy.from_env()
     store = _resolve_cache(cache)
     key = run_key if store.enabled else None
     if key is not None:
@@ -725,10 +990,7 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
         checkpoint = CheckpointStore(policy.checkpoint_dir, run_key,
                                      n_chunks=len(sizes))
 
-    # Start offsets ride in the supervisor's per-chunk seed slot: chunk
-    # i evaluates the pure function (config, starts[i], sizes[i]).
-    starts = chunk_starts(sizes)
-    supervisor = _Supervisor(engine, chunk_fn, config, starts, sizes,
+    supervisor = _Supervisor(engine, chunk_fn, config, make_seeds(), sizes,
                              kwargs, policy, checkpoint)
     chunks = supervisor.run(n_workers)
 

@@ -1,23 +1,21 @@
 """Suite execution engine: one shared worker pool across all figures.
 
 ``python -m repro.experiments all`` used to run the figures strictly
-one after another, each supervised ``compute()`` building a private
-``ProcessPoolExecutor``, draining it, and tearing it down while every
-other figure's work sat idle.  This module replaces that with a
-**shared suite pool**:
+one after another, each supervised ``compute()`` draining its own
+worker pool while every other figure's work sat idle.  This module
+runs them concurrently over **one shared pool**:
 
-* :class:`SuitePool` owns a single persistent ``ProcessPoolExecutor``
-  plus a dispatcher thread feeding it from a global
-  :class:`LaneQueue` — a fair round-robin over per-engine lanes, so
-  chunks from a slow figure (fig13 trace eval, fig7 architecture
-  sweeps) interleave with fast ones instead of serializing;
 * :func:`run_suite` runs one thread per requested figure, each calling
   the ordinary :func:`repro.experiments.registry.run_experiment`; the
-  supervised figures pick the shared pool up through
+  supervised figures pick the shared
+  :class:`repro.experiments.runner.SuitePool` up through
   :attr:`repro.experiments.runner.ExecutionPolicy.pool`, so every
   supervisor invariant (retries, watchdog, pool-rebuild escalation,
   checkpoint/resume, worker-count-invariant cache keys) holds
-  unchanged — only *where* chunks execute moves.
+  unchanged — only *where* chunks execute moves;
+* the pool's fair round-robin over per-engine lanes interleaves chunks
+  from a slow figure (fig13 trace eval, fig7 architecture sweeps) with
+  fast ones instead of serializing them.
 
 Determinism: a chunk result is a pure function of
 ``(config, chunk seed, chunk size)``, and the suite never alters a
@@ -45,16 +43,10 @@ shared-memory results are released on every path (see
 from __future__ import annotations
 
 import inspect
-import os
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import Future, InvalidStateError, wait
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import partial
-from threading import Condition, RLock, Thread
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from threading import Thread
+from typing import Dict, List, Mapping, Optional
 
 from repro.experiments.registry import (
     REGISTRY,
@@ -63,357 +55,10 @@ from repro.experiments.registry import (
     ordered_figures,
     run_experiment,
 )
-from repro.experiments.runner import ExecutionPolicy
-from repro.experiments.transport import (
-    TransportPolicy,
-    TransportStats,
-    ensure_resource_tracker,
-    release_chunk,
-)
+from repro.experiments.runner import ExecutionPolicy, SuitePool
+from repro.experiments.transport import TransportPolicy, TransportStats
 from repro.util.timing import PhaseTimer
 
-#: Per-worker warmup sleep: long enough to force the pool to actually
-#: fork every worker before the figure threads start, cheap enough to
-#: be invisible in the suite wall time.
-_WARMUP_SLEEP_S = 0.02
-
-
-def _warmup(delay_s: float) -> int:
-    """Trivial pool task used to pre-fork workers; returns worker pid."""
-    # Not a retry backoff: this sleep only keeps the warmup task alive
-    # long enough that every pool worker forks before real work lands.
-    time.sleep(delay_s)  # repro-lint: disable=RPR303
-    return os.getpid()
-
-
-def default_suite_workers() -> int:
-    """Worker count the CLI uses when ``--workers`` is not given."""
-    return min(4, os.cpu_count() or 1)
-
-
-class LaneQueue:
-    """Fair round-robin queue of tasks keyed by lane name.
-
-    ``pop`` serves one task from the least-recently-served non-empty
-    lane, so a figure enqueueing hundreds of chunks cannot starve a
-    figure with three.  Not thread-safe on its own — :class:`SuitePool`
-    guards it with its condition lock.
-    """
-
-    def __init__(self) -> None:
-        self._lanes: "OrderedDict[str, Deque[object]]" = OrderedDict()
-
-    def push(self, lane: str, item: object) -> None:
-        self._lanes.setdefault(lane, deque()).append(item)
-
-    def pop(self) -> object:
-        """The next task in round-robin order; raises ``IndexError`` empty."""
-        for lane in list(self._lanes):
-            queue = self._lanes[lane]
-            if not queue:
-                del self._lanes[lane]
-                continue
-            item = queue.popleft()
-            # Rotate the served lane to the back so siblings go next.
-            self._lanes.move_to_end(lane)
-            if not queue:
-                del self._lanes[lane]
-            return item
-        raise IndexError("pop from empty LaneQueue")
-
-    def __len__(self) -> int:
-        return sum(len(queue) for queue in self._lanes.values())
-
-    def lanes(self) -> List[str]:
-        """Non-empty lane names, current round-robin order."""
-        return [lane for lane, queue in self._lanes.items() if queue]
-
-
-class _SuiteTask:
-    """One submitted chunk: the caller's proxy future plus its work."""
-
-    __slots__ = ("proxy", "fn", "args", "lane", "abandoned", "started_at")
-
-    def __init__(self, proxy: Future, fn: Callable[..., object],
-                 args: Tuple[object, ...], lane: str) -> None:
-        self.proxy = proxy
-        self.fn = fn
-        self.args = args
-        self.lane = lane
-        self.abandoned = False
-        self.started_at: Optional[float] = None
-
-
-def _fail_proxy(proxy: Future, exc: BaseException) -> None:
-    """Deliver a failure unless the proxy already settled."""
-    if proxy.cancelled():
-        return
-    try:
-        proxy.set_exception(exc)
-    except InvalidStateError:
-        pass
-
-
-class _SuiteRound:
-    """One supervisor round's view of the shared pool (one lane).
-
-    Matches the ``SharedRoundLike`` protocol the runner programs
-    against: ``submit`` chunks, declare the round ``broken`` to request
-    a pool rebuild, ``abandon`` leftovers so their transported results
-    are released whenever they land.
-    """
-
-    def __init__(self, pool: "SuitePool", lane: str,
-                 generation: int) -> None:
-        self._pool = pool
-        self._lane = lane
-        self._generation = generation
-
-    def submit(self, fn: Callable[..., object], *args: object) -> Future:
-        return self._pool._submit(self._lane, fn, args)
-
-    def broken(self) -> None:
-        self._pool._rebuild(self._generation)
-
-    def abandon(self, futures: List[Future]) -> None:
-        self._pool._abandon(futures)
-
-
-class SuitePool:
-    """A persistent supervised worker pool shared across figures.
-
-    Figures submit chunks through per-engine lanes
-    (:meth:`open_round`); a dispatcher thread drains the fair
-    round-robin queue into one long-lived ``ProcessPoolExecutor``,
-    throttled to ``2 x workers`` in-flight chunks so no single figure
-    floods the pool.  Callers receive proxy futures with ordinary
-    ``concurrent.futures`` semantics, so the runner's drain loop works
-    on them untouched.
-
-    An underlying chunk cancelled by a rebuild surfaces on its proxy
-    as ``BrokenProcessPool`` — *never* ``CancelledError``, which is a
-    ``BaseException`` and would sail past the supervisor's
-    ``except BrokenExecutor`` recovery path.
-    """
-
-    def __init__(self, n_workers: Optional[int] = None, *,
-                 warmup: bool = True) -> None:
-        self.workers = n_workers if n_workers is not None \
-            else default_suite_workers()
-        if self.workers < 1:
-            raise ValueError("n_workers must be positive")
-        self.max_inflight = 2 * self.workers
-        self._cond = Condition(RLock())
-        self._queue = LaneQueue()
-        self._inflight = 0
-        self._generation = 0
-        self._closed = False
-        self._interrupt: Optional[BaseException] = None
-        self._tasks_done = 0
-        self._busy_s = 0.0
-        self._rebuilds = 0
-        self._lane_done: Dict[str, int] = {}
-        self._retired: List[ProcessPoolExecutor] = []
-        self._created_at = time.monotonic()
-        self._executor = self._new_executor(warmup=warmup)
-        self._dispatcher = Thread(target=self._dispatch_loop,
-                                  name="suite-dispatcher", daemon=True)
-        self._dispatcher.start()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _new_executor(self, warmup: bool = False) -> ProcessPoolExecutor:
-        # The tracker must exist before workers fork, or worker-created
-        # shared-memory segments register with per-worker trackers the
-        # parent's unlink never reaches (spurious leak warnings).
-        ensure_resource_tracker()
-        executor = ProcessPoolExecutor(max_workers=self.workers)
-        if warmup:
-            # Fork every worker *now*, before figure threads exist —
-            # forking a many-threaded parent mid-run is the risky path.
-            wait([executor.submit(_warmup, _WARMUP_SLEEP_S)
-                  for _ in range(self.workers)], timeout=60.0)
-        return executor
-
-    def __enter__(self) -> "SuitePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the pool down; idempotent.
-
-        Queued chunks fail with ``BrokenProcessPool``; in-flight chunks
-        finish (their results are delivered or released as usual), then
-        every executor this pool ever owned is joined.
-        """
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        self._dispatcher.join(timeout=60.0)
-        with self._cond:
-            executors = [self._executor] + self._retired
-            self._retired = []
-        for executor in executors:
-            executor.shutdown(wait=True)
-
-    def interrupt(self, exc: BaseException) -> None:
-        """Fail every queued chunk with ``exc`` (operator interrupt).
-
-        In-flight chunks are left to finish; each figure's supervisor
-        sees ``exc`` on its next proxy result, flushes its completed
-        chunks to the checkpoint store, and unwinds resumably.
-        """
-        with self._cond:
-            self._interrupt = exc
-            while len(self._queue):
-                task = self._queue.pop()
-                assert isinstance(task, _SuiteTask)
-                _fail_proxy(task.proxy, exc)
-            self._cond.notify_all()
-
-    # -- figure-facing API -------------------------------------------------
-
-    def open_round(self, lane: str) -> _SuiteRound:
-        """A round handle whose submissions ride the given lane."""
-        with self._cond:
-            return _SuiteRound(self, lane, self._generation)
-
-    def stats(self) -> Dict[str, object]:
-        """Utilization snapshot for the suite summary."""
-        with self._cond:
-            wall_s = time.monotonic() - self._created_at
-            busy_s = self._busy_s
-            capacity = wall_s * self.workers
-            return {
-                "workers": self.workers,
-                "tasks_done": self._tasks_done,
-                "busy_s": busy_s,
-                "wall_s": wall_s,
-                "rebuilds": self._rebuilds,
-                "utilization": busy_s / capacity if capacity > 0 else 0.0,
-                "lanes": dict(self._lane_done),
-            }
-
-    # -- internal ----------------------------------------------------------
-
-    def _submit(self, lane: str, fn: Callable[..., object],
-                args: Tuple[object, ...]) -> Future:
-        proxy: Future = Future()
-        task = _SuiteTask(proxy, fn, args, lane)
-        proxy._suite_task = task  # type: ignore[attr-defined]
-        with self._cond:
-            if self._interrupt is not None:
-                _fail_proxy(proxy, self._interrupt)
-            elif self._closed:
-                _fail_proxy(proxy, BrokenProcessPool("suite pool closed"))
-            else:
-                self._queue.push(lane, task)
-                self._cond.notify_all()
-        return proxy
-
-    def _abandon(self, futures: List[Future]) -> None:
-        """Disown proxies whose results nobody will consume."""
-        with self._cond:
-            for future in futures:
-                task = getattr(future, "_suite_task", None)
-                if isinstance(task, _SuiteTask):
-                    task.abandoned = True
-                future.cancel()
-                if future.done() and not future.cancelled() \
-                        and future.exception() is None:
-                    release_chunk(future.result())
-
-    def _rebuild(self, generation: int) -> None:
-        """Replace the executor, once per generation.
-
-        Every lane whose round broke against the same executor calls
-        this with the same generation; the first call swaps the
-        executor, the rest are no-ops against the already-bumped
-        counter.
-        """
-        with self._cond:
-            if generation != self._generation or self._closed:
-                return
-            old = self._executor
-            self._generation += 1
-            self._rebuilds += 1
-            self._executor = self._new_executor()
-            self._retired.append(old)
-        old.shutdown(wait=False, cancel_futures=True)
-
-    def _ready_locked(self) -> bool:
-        return len(self._queue) > 0 and self._inflight < self.max_inflight
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and not self._ready_locked():
-                    self._cond.wait()
-                if self._closed:
-                    while len(self._queue):
-                        task = self._queue.pop()
-                        assert isinstance(task, _SuiteTask)
-                        _fail_proxy(task.proxy,
-                                    BrokenProcessPool("suite pool closed"))
-                    return
-                task = self._queue.pop()
-                assert isinstance(task, _SuiteTask)
-                if not task.proxy.set_running_or_notify_cancel():
-                    continue  # cancelled while queued
-                self._inflight += 1
-                generation = self._generation
-                executor = self._executor
-            task.started_at = time.monotonic()
-            try:
-                underlying = executor.submit(task.fn, *task.args)
-            except BaseException as exc:  # broken/shut-down executor
-                with self._cond:
-                    self._inflight -= 1
-                    _fail_proxy(task.proxy, BrokenProcessPool(
-                        str(exc) or type(exc).__name__))
-                    self._cond.notify_all()
-                continue
-            underlying.add_done_callback(
-                partial(self._on_done, task, generation))
-
-    def _on_done(self, task: _SuiteTask, generation: int,
-                 underlying: Future) -> None:
-        with self._cond:
-            self._inflight -= 1
-            self._tasks_done += 1
-            self._lane_done[task.lane] = self._lane_done.get(task.lane, 0) + 1
-            if not underlying.cancelled() and task.started_at is not None:
-                self._busy_s += max(0.0,
-                                    time.monotonic() - task.started_at)
-            if underlying.cancelled():
-                # Rebuild cancelled it while queued on the old executor.
-                _fail_proxy(task.proxy, BrokenProcessPool(
-                    "shared pool rebuilt while the chunk was queued"))
-            else:
-                exc = underlying.exception()
-                if exc is not None:
-                    _fail_proxy(task.proxy, exc)
-                else:
-                    result = underlying.result()
-                    delivered = False
-                    if not task.abandoned:
-                        try:
-                            task.proxy.set_result(result)
-                            delivered = True
-                        except InvalidStateError:
-                            pass
-                    if not delivered:
-                        release_chunk(result)
-            self._cond.notify_all()
-
-
-# ---------------------------------------------------------------------------
-# Suite runner
-# ---------------------------------------------------------------------------
 
 @dataclass
 class FigureOutcome:
@@ -583,9 +228,6 @@ def run_suite(figures: Optional[List[str]] = None,
 
 __all__ = [
     "FigureOutcome",
-    "LaneQueue",
-    "SuitePool",
     "SuiteResult",
-    "default_suite_workers",
     "run_suite",
 ]

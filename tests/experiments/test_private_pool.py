@@ -1,0 +1,112 @@
+"""Private pooled runs: ``n_workers > 1`` without a shared pool.
+
+Such a run opens a :class:`~repro.experiments.runner.SuitePool` for the
+call alone.  An operator interrupt must stop it promptly instead of
+draining every queued chunk first, and every run, whatever its outcome,
+must leave no worker process, dispatcher thread or shared-memory
+segment behind.
+"""
+
+import _thread
+import multiprocessing
+import threading
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.experiments.runner import (
+    ChunkExecutionError,
+    ExecutionDegradedWarning,
+    ExecutionPolicy,
+    run_chunked,
+)
+from repro.experiments.transport import TransportPolicy, active_segments
+from repro.util.faults import FaultInjector, always_failing
+
+#: Every result rides shared memory, so a stranded segment would show.
+_SHM = TransportPolicy(min_bytes=1)
+
+
+@dataclass(frozen=True)
+class _Cfg:
+    n_samples: int = 400
+
+
+def _payload_chunk(config, seed, n, nap_s=0.05):
+    """Naps first, so a run that fails early leaves chunks in flight."""
+    from repro.util.rng import make_rng
+
+    time.sleep(nap_s)
+    return {"x": make_rng(seed).random(n)}
+
+
+def _marking_chunk(config, seed, n, marker_dir):
+    """Leaves one marker file per chunk started, then naps 0.2 s."""
+    Path(marker_dir, "-".join(map(str, seed.spawn_key))).touch()
+    return _payload_chunk(config, seed, n, nap_s=0.2)
+
+
+def _run(policy):
+    return run_chunked("private", _payload_chunk, _Cfg(), 7, code_version=0,
+                       n_workers=2, chunk_size=50, policy=policy)
+
+
+def _serial():
+    return run_chunked("private", _payload_chunk, _Cfg(), 7, code_version=0,
+                       chunk_size=50, policy=ExecutionPolicy())
+
+
+def _assert_nothing_left(segments_before):
+    assert multiprocessing.active_children() == []
+    assert not [thread for thread in threading.enumerate()
+                if thread.name == "suite-dispatcher"]
+    assert active_segments() == segments_before
+
+
+def test_interrupt_stops_a_private_pooled_run(tmp_path):
+    # 40 chunks x 0.2 s on two workers is a 4 s sweep; the interrupt
+    # lands 0.8 s in, so a run that drains every queued chunk before
+    # surfacing it leaves 40 markers.
+    before = active_segments()
+    timer = threading.Timer(0.8, _thread.interrupt_main)
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_chunked("marks", _marking_chunk, _Cfg(), 3, code_version=0,
+                        n_workers=2, chunk_size=10,
+                        kwargs={"marker_dir": str(tmp_path)},
+                        policy=ExecutionPolicy())
+    finally:
+        timer.cancel()
+        timer.join(timeout=10)
+    assert len(list(tmp_path.iterdir())) < 40
+    _assert_nothing_left(before)
+
+
+class TestCleanup:
+    def test_successful_run(self):
+        before = active_segments()
+        out = _run(ExecutionPolicy(transport=_SHM))
+        assert np.array_equal(out["x"], _serial()["x"])
+        _assert_nothing_left(before)
+
+    def test_degraded_run(self):
+        before = active_segments()
+        policy = ExecutionPolicy(
+            transport=_SHM, max_pool_rebuilds=1,
+            faults=FaultInjector(pool_break_rounds={0, 1, 2}))
+        with pytest.warns(ExecutionDegradedWarning):
+            out = _run(policy)
+        assert np.array_equal(out["x"], _serial()["x"])
+        _assert_nothing_left(before)
+
+    def test_exhausted_retries(self):
+        before = active_segments()
+        policy = ExecutionPolicy(transport=_SHM,
+                                 faults=always_failing("private", 3))
+        with pytest.raises(ChunkExecutionError):
+            _run(policy)
+        _assert_nothing_left(before)

@@ -26,7 +26,9 @@ from repro.experiments.runner import (
     ChunkExecutionError,
     ExecutionDegradedWarning,
     ExecutionPolicy,
+    Watchdog,
     run_chunked,
+    run_indexed,
 )
 from repro.util.cache import ResultCache
 from repro.util.checkpoint import CHECKPOINT_DIR_ENV
@@ -146,7 +148,8 @@ class TestDegradation:
         assert "injected pool break" in warning.message.reason
 
     def test_worker_timeout_counts_as_pool_failure(self, tmp_path):
-        policy = ExecutionPolicy(worker_timeout_s=0.2, max_pool_rebuilds=0)
+        policy = ExecutionPolicy(
+            watchdog=Watchdog(heartbeat_interval_s=0.2), max_pool_rebuilds=0)
         ref = run_chunked("slow", _slow_once_chunk, _TinyConfig(), 11,
                           code_version=0, chunk_size=50,
                           kwargs={"marker_dir": str(tmp_path)})
@@ -235,6 +238,50 @@ class TestCheckpointResume:
         rng = np.random.default_rng(5)
         two_receiver_scenarios(CONFIG, rng, chunk_size=CHUNK, policy=policy)
         assert list(tmp_path.iterdir()) == []  # unreplayable: no resume
+
+
+class TestRunKeys:
+    """Cache entries and checkpoint run dirs are named by the run key.
+
+    A drift in the key would orphan every user's cache and checkpoints,
+    so the digests are pinned literally.  A run served from the cache
+    must not touch the caller's seed either.
+    """
+
+    @staticmethod
+    def _stores(tmp_path):
+        return {"cache": ResultCache(tmp_path / "cache"),
+                "policy": ExecutionPolicy(checkpoint_dir=tmp_path / "ckpt")}
+
+    @staticmethod
+    def _assert_named(tmp_path, digest):
+        assert [p.stem for p in (tmp_path / "cache").glob("*.npz")] \
+            == [digest]
+        assert [p.name for p in (tmp_path / "ckpt").iterdir()] == [digest]
+
+    def test_run_chunked_key(self, tmp_path):
+        run_chunked("eng", _counting_chunk([]), _TinyConfig(n_samples=250),
+                    9, code_version=0, chunk_size=50,
+                    **self._stores(tmp_path))
+        self._assert_named(
+            tmp_path,
+            "5b6df15b6f6023edafa28709365e41eb822d6bcda3780a3a5196a7e984eea99d")
+
+    def test_run_indexed_key(self, tmp_path):
+        run_indexed("idx", _counting_chunk([]), _TinyConfig(), 120,
+                    code_version=0, chunk_size=50, cache_key={"seed": 9},
+                    **self._stores(tmp_path))
+        self._assert_named(
+            tmp_path,
+            "e373c4e68f3def1cd0cbf3f27fbc5250ffeaafa884f90818bf243748cce0f2a9")
+
+    def test_cache_hit_spawns_no_seeds(self, tmp_path):
+        seed = np.random.SeedSequence(9)
+        cache = ResultCache(tmp_path)
+        for _ in range(2):  # a miss, then a hit
+            run_chunked("eng", _counting_chunk([]), _TinyConfig(), seed,
+                        code_version=0, chunk_size=50, cache=cache)
+        assert seed.n_children_spawned == 5
 
 
 class TestAcceptanceSweep:

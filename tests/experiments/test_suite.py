@@ -8,22 +8,24 @@ chunk size, or interleaving.  Chunks are pure functions of
 figure's chunk layout, so only *where* chunks execute moves.
 """
 
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.experiments import fig6, fig11, fig13
-from repro.experiments.suite import (
-    LaneQueue,
-    SuitePool,
-    run_suite,
-)
+from repro.experiments.runner import LaneQueue, SuitePool
+from repro.experiments.suite import run_suite
 from repro.experiments.transport import TransportPolicy, active_segments
 
 
 def _square(x):
     return x * x
+
+
+def _nap(seconds):
+    time.sleep(seconds)
 
 
 class TestLaneQueue:
@@ -105,6 +107,17 @@ class TestSuitePool:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="n_workers"):
             SuitePool(0)
+
+    def test_busy_time_excludes_queue_wait(self):
+        # Two chunks per worker are in flight, so a chunk timed from
+        # dispatch would count its wait in the executor queue as work.
+        with SuitePool(1) as pool:
+            handle = pool.open_round("lane")
+            for future in [handle.submit(_nap, 0.1) for _ in range(8)]:
+                future.result(timeout=60)
+            stats = pool.stats()
+        assert stats["busy_s"] >= 0.75
+        assert stats["busy_s"] <= stats["wall_s"] * stats["workers"]
 
 
 def _assert_gain_maps_equal(actual, expected):

@@ -49,27 +49,6 @@ class TestWatchdogPolicy:
         with pytest.raises(ValueError):
             Watchdog(heartbeat_interval_s=-1.0)
 
-    def test_armed_property(self):
-        assert not Watchdog().armed
-        assert Watchdog(chunk_deadline_s=5.0).armed
-        assert Watchdog(heartbeat_interval_s=5.0).armed
-
-    def test_effective_watchdog_prefers_explicit(self):
-        wd = Watchdog(chunk_deadline_s=3.0)
-        policy = ExecutionPolicy(watchdog=wd, worker_timeout_s=9.0)
-        assert policy.effective_watchdog() is wd
-
-    def test_worker_timeout_compat_maps_to_heartbeat(self):
-        policy = ExecutionPolicy(worker_timeout_s=0.5)
-        effective = policy.effective_watchdog()
-        assert effective.heartbeat_interval_s == 0.5
-        assert effective.chunk_deadline_s is None
-
-    def test_unarmed_watchdog_is_none(self):
-        assert ExecutionPolicy(watchdog=Watchdog()).effective_watchdog() \
-            is None
-        assert ExecutionPolicy().effective_watchdog() is None
-
 
 class TestMonitorDecisions:
     """Scripted-clock units: deadline and heartbeat logic, no sleeping."""
