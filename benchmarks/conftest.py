@@ -8,88 +8,23 @@ same rows/series the paper reports (visible with ``pytest -s``).
 
 from __future__ import annotations
 
-import os
+import time
 from typing import Callable, List
-
-SAMPLES_ENV = "REPRO_BENCH_SAMPLES"
-FULL_SAMPLES = 10_000
-
-TRACE_SNAPSHOTS_ENV = "REPRO_BENCH_TRACE_SNAPSHOTS"
-FULL_TRACE_SNAPSHOTS = 600
-
-
-def bench_samples() -> int:
-    """Monte-Carlo draws per bench (``REPRO_BENCH_SAMPLES`` overrides).
-
-    The default is the paper-scale 10 000 draws.  CI smoke runs set the
-    environment variable to a smaller count to keep the job fast; the
-    benches skip their tightest statistical assertions below full scale.
-    """
-    return int(os.environ.get(SAMPLES_ENV, FULL_SAMPLES))
-
-
-def at_full_scale() -> bool:
-    """True when benches run at the paper's 10 000-draw evaluation scale."""
-    return bench_samples() >= FULL_SAMPLES
-
-
-def bench_trace_snapshots() -> int:
-    """Busy-snapshot cap for the trace benches.
-
-    Defaults to the 600 snapshots of the full two-week Fig. 13 run;
-    ``REPRO_BENCH_TRACE_SNAPSHOTS`` shrinks it for CI smoke runs (the
-    trace benches relax their speedup floors below full scale).
-    """
-    return int(os.environ.get(TRACE_SNAPSHOTS_ENV, FULL_TRACE_SNAPSHOTS))
-
-
-def at_full_trace_scale() -> bool:
-    """True when trace benches run the full 600-snapshot evaluation."""
-    return bench_trace_snapshots() >= FULL_TRACE_SNAPSHOTS
-
-
-ARCH_GRIDS_ENV = "REPRO_BENCH_ARCH_GRIDS"
-FULL_ARCH_GRIDS = 100
-
-
-def bench_arch_grids() -> int:
-    """EWLAN grid count for the architecture benches.
-
-    Defaults to the Fig. 7 evaluation scale (100 grids; residential
-    rows scale at 3x the grid count).  ``REPRO_BENCH_ARCH_GRIDS``
-    shrinks it for CI smoke runs, where the speedup floor relaxes.
-    """
-    return int(os.environ.get(ARCH_GRIDS_ENV, FULL_ARCH_GRIDS))
-
-
-def at_full_arch_scale() -> bool:
-    """True when architecture benches run at the Fig. 7 default scale."""
-    return bench_arch_grids() >= FULL_ARCH_GRIDS
-
-
-SUITE_ENV = "REPRO_BENCH_SUITE"
-FULL_SUITE_SAMPLES = 4_000
-
-
-def bench_suite_samples() -> int:
-    """Monte-Carlo scale for the suite bench (``REPRO_BENCH_SUITE``).
-
-    One number drives every figure in the suite bench (grids, rows,
-    snapshots and scenario counts derive from it).  Defaults to a
-    4 000-draw evaluation scale; CI smoke runs shrink it, and the
-    suite bench relaxes its speedup floor below full scale.
-    """
-    return int(os.environ.get(SUITE_ENV, FULL_SUITE_SAMPLES))
-
-
-def at_full_suite_scale() -> bool:
-    """True when the suite bench runs at its full evaluation scale."""
-    return bench_suite_samples() >= FULL_SUITE_SAMPLES
 
 
 def run_once(benchmark, fn: Callable, **kwargs):
     """Benchmark an expensive figure exactly once (no warmup rounds)."""
     return benchmark.pedantic(lambda: fn(**kwargs), rounds=1, iterations=1)
+
+
+def best_of(fn: Callable[[], object], reps: int) -> float:
+    """The fastest of ``reps`` wall-clock timings of ``fn()``, in seconds."""
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def emit(lines: List[str]) -> None:

@@ -1,13 +1,14 @@
 """Bench: Fig. 11 — technique CDFs for both topology classes."""
 
-from conftest import at_full_scale, bench_samples, emit, run_once
+from conftest import emit, run_once
 
 from repro.experiments import fig11
 
+N_SAMPLES = 10_000
+
 
 def test_fig11_technique_cdfs(benchmark):
-    n_samples = bench_samples()
-    result = run_once(benchmark, fig11.compute, n_samples=n_samples,
+    result = run_once(benchmark, fig11.compute, n_samples=N_SAMPLES,
                       seed=2010)
 
     one = result["one_receiver"]
@@ -21,14 +22,10 @@ def test_fig11_technique_cdfs(benchmark):
                   for t in ("power_control", "multirate", "packing"))
     assert boosted >= 0.20
     assert boosted >= 2.0 * sic_frac
-    if at_full_scale():
-        assert two["sic"]["summary"]["frac_no_gain"] > 0.9
-        assert two["packing"]["summary"]["frac_gain_over_20pct"] <= 0.25
-    else:  # smoke scale: looser statistical floors
-        assert two["sic"]["summary"]["frac_no_gain"] > 0.8
-        assert two["packing"]["summary"]["frac_gain_over_20pct"] <= 0.35
+    assert two["sic"]["summary"]["frac_no_gain"] > 0.9
+    assert two["packing"]["summary"]["frac_gain_over_20pct"] <= 0.25
 
-    lines = [f"Fig. 11 — gain CDF summaries ({n_samples} draws)"]
+    lines = [f"Fig. 11 — gain CDF summaries ({N_SAMPLES} draws)"]
     for panel_name, panel in (("(a) two tx -> one rx", one),
                               ("(b) two tx -> two rx", two)):
         lines.append(panel_name)

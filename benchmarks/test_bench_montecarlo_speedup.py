@@ -9,7 +9,7 @@ here we only time the two paths and assert the speedup floor).
 
 import time
 
-from conftest import bench_samples, emit, run_once
+from conftest import emit, run_once
 
 from repro.experiments.montecarlo import (
     MonteCarloConfig,
@@ -17,11 +17,12 @@ from repro.experiments.montecarlo import (
     two_receiver_scenarios_scalar,
 )
 
+N_SAMPLES = 10_000
 MIN_SPEEDUP = 10.0
 
 
 def test_two_receiver_scenarios_speedup(benchmark):
-    config = MonteCarloConfig(n_samples=bench_samples())
+    config = MonteCarloConfig(n_samples=N_SAMPLES)
 
     start = time.perf_counter()
     gains_ref, _ = two_receiver_scenarios_scalar(config, seed=2010)

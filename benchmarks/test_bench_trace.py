@@ -7,20 +7,13 @@ reference ``fig13.compute_scalar`` by >= 10x at the full 600-snapshot
 evaluation scale, while returning bit-identical gain arrays.  The
 supporting claims: the vectorised trace generators reproduce their
 scalar references bit for bit at a large multiple of the speed, and the
-phase split (trace_gen / scheduling / assembly) lands in
-``BENCH_trace.json`` via ``extra_info``.
-
-The CI smoke job runs this module with ``--benchmark-json`` to emit
-``BENCH_trace.json``; ``REPRO_BENCH_TRACE_SNAPSHOTS`` caps the snapshot
-count there, and the speedup floors relax below full scale (house
-convention: benches soften their tightest assertions in smoke runs).
+phase split (trace_gen / scheduling / assembly) lands in each
+benchmark's ``extra_info``.
 """
-
-import time
 
 import numpy as np
 
-from conftest import at_full_trace_scale, bench_trace_snapshots, emit, run_once
+from conftest import best_of, emit, run_once
 
 from repro.experiments import fig13
 from repro.traces.downlink import DownlinkTraceConfig, DownlinkTraceGenerator
@@ -28,14 +21,7 @@ from repro.traces.synthetic import UploadTraceConfig, UploadTraceGenerator
 from repro.util.cache import ResultCache
 from repro.util.timing import PhaseTimer
 
-
-def best_of(fn, reps):
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+N_SNAPSHOTS = 600
 
 
 def test_fig13_fast_path_speedup(benchmark):
@@ -43,7 +29,7 @@ def test_fig13_fast_path_speedup(benchmark):
     scheduling vs the frozen scalar pipeline, end to end at default
     config, bit-identical gains required."""
     kw = dict(trace_config=UploadTraceConfig(duration_days=14.0),
-              seed=2010, max_snapshots=bench_trace_snapshots(),
+              seed=2010, max_snapshots=N_SNAPSHOTS,
               cache=ResultCache(None))  # timing runs must never cache-hit
 
     fast = fig13.compute(**kw)
@@ -77,8 +63,7 @@ def test_fig13_fast_path_speedup(benchmark):
           f"-> {speedup:.1f}x",
           "  phases: " + ", ".join(f"{p} {s * 1e3:.0f} ms"
                                    for p, s in timer.phases.items())])
-    floor = 10.0 if at_full_trace_scale() else 4.0
-    assert speedup >= floor
+    assert speedup >= 10.0
 
 
 def test_upload_trace_generation_speedup(benchmark):

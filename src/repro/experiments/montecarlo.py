@@ -585,32 +585,3 @@ def two_receiver_packing_gain_batch(channel: Channel, packet_bits: float,
     not_applicable = ((codes == 0) | (rate_1 <= 0.0) | (rate_2 <= 0.0)
                       | (packed_time <= 0.0))
     return np.where(not_applicable, sic_gain, packed_gain)
-
-
-def _legacy_two_receiver_packing_gain(channel: Channel, packet_bits: float,
-                                      rss: PairRss, scenario: PairScenario,
-                                      max_fast_packets: int) -> float:
-    """Packing gain restricted to strictly SIC-feasible scenarios.
-
-    Kept for the ablation bench: contrasts the rate-constrained packing
-    above with packing that cannot lower the cancelled signal's rate.
-    """
-    if not scenario.sic_feasible:
-        return scenario.gain
-    if scenario.case is PairCase.SIC_AT_R2:
-        slow = (rss.s11, rss.s12)   # T1 interference-limited at R1
-        fast = (rss.s22, 0.0)       # T2 clean after SIC at R2
-    elif scenario.case is PairCase.SIC_AT_R1:
-        slow = (rss.s22, rss.s21)
-        fast = (rss.s11, 0.0)
-    else:  # SIC at both: both clean; pack under the slower one
-        if rss.s11 <= rss.s22:
-            slow, fast = (rss.s11, 0.0), (rss.s22, 0.0)
-        else:
-            slow, fast = (rss.s22, 0.0), (rss.s11, 0.0)
-    packed = pack_pair_links(channel, packet_bits,
-                             slow_rss_w=slow[0], slow_interference_w=slow[1],
-                             fast_rss_w=fast[0], fast_interference_w=fast[1],
-                             sic_feasible=True,
-                             max_fast_packets=max_fast_packets)
-    return max(scenario.gain, packed.gain)

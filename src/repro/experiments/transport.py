@@ -72,7 +72,6 @@ class TransportPolicy:
     """
 
     min_bytes: int = DEFAULT_MIN_BYTES
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.min_bytes < 0:
@@ -198,7 +197,7 @@ def _segment_name() -> str:
 def _eligible(result: ChunkResult, policy: TransportPolicy
               ) -> Optional[List[Tuple[str, np.ndarray]]]:
     """The arrays to pack, or ``None`` when the chunk must pickle."""
-    if not policy.enabled or not result:
+    if not result:
         return None
     arrays: List[Tuple[str, np.ndarray]] = []
     total = 0

@@ -321,8 +321,9 @@ class SicScheduler:
         Bit-identical to ``self.schedule(clients, ...).gain``: the
         chosen pairs' durations are read back from the cost graph
         (``pair_airtime_batch`` is pinned element-identical to the
-        scalar ``pair_cost``) and the total accumulates in the same
-        slot order (pairs in sorted matching order, then solos), so the
+        scalar ``pair_cost``) and totalled in the same slot order
+        (pairs in sorted matching order, then solos) with the same
+        built-in ``sum()`` as :attr:`Schedule.total_time_s`, so the
         division ``serial / total`` sees the same floats.  Trace
         evaluations (Fig. 13) call this per snapshot — they only plot
         gain CDFs, so building :class:`ScheduledSlot` tuples and
@@ -356,14 +357,13 @@ class SicScheduler:
                 solo.append(j)
             else:
                 pair_keys.append((i, j))
-        total = 0.0
-        for key in pair_keys:
-            total += costs[key]
+        durations = [costs[key] for key in pair_keys]
         if solo:
             solos = pre.solo_airtime_s.tolist() if pre is not None else None
-            for i in solo:
-                total += solos[i] if solos is not None \
-                    else self.solo_cost(clients[i])
+            durations.extend(solos[i] if solos is not None
+                             else self.solo_cost(clients[i]) for i in solo)
+        # Not a += loop: sum() is compensated on Python 3.12+.
+        total = sum(durations, 0.0)
         if total <= 0.0:
             return 1.0
         serial = pre.serial_time_s if pre is not None \

@@ -141,6 +141,13 @@ def atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray],
     Shared by the result cache and the checkpoint store so both expose
     the same ``<site>.write`` / ``<site>.replace`` fault-injection
     boundaries around their payloads.
+
+    An error raised while an interrupt (``KeyboardInterrupt``,
+    ``ResumableInterrupt``) unwinds gives way to the interrupt, so
+    callers flush and exit resumable rather than fatal.  The case that
+    occurs: an interrupt landing while ``np.savez_compressed`` has a zip
+    entry open makes numpy's cleanup ``ZipFile.close()`` raise
+    ``ValueError`` over it.
     """
     tmp_path = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
@@ -149,6 +156,11 @@ def atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray],
         with open(tmp_path, "wb") as handle:  # repro-lint: disable=RPR306
             np.savez_compressed(handle, **dict(arrays))
         iofaults.checked_replace(f"{site}.replace", tmp_path, path)
+    except Exception as exc:
+        if exc.__context__ is not None \
+                and not isinstance(exc.__context__, Exception):
+            raise exc.__context__ from None
+        raise
     finally:
         _unlink_quietly(tmp_path)
 

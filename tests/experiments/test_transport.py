@@ -83,12 +83,6 @@ class TestFallbacks:
         result = {"x": np.ones(4)}
         assert encode_chunk(result, TransportPolicy()) is result
 
-    def test_disabled_policy_pickles(self):
-        result = _payload()
-        raw = encode_chunk(result, TransportPolicy(min_bytes=1,
-                                                   enabled=False))
-        assert raw is result
-
     def test_none_policy_pickles(self):
         result = _payload()
         assert encode_chunk(result, None) is result

@@ -263,6 +263,15 @@ class TestPrecomputedCosts:
             assert scheduler.schedule_gain(clients, precomputed=pre,
                                            cost_graph=graph) == ref
 
+    def test_schedule_gain_totals_with_builtin_sum(self, scheduler):
+        # Schedule.total_time_s totals with sum(), compensated on Python
+        # 3.12+, where a left-to-right += loop over these gives 1.0.
+        clients = make_clients([1e-9, 2e-9, 3e-9, 4e-9, 5e-9, 6e-9])
+        costs = {(i, j): 10.0 for i in range(6) for j in range(i + 1, 6)}
+        costs.update({(0, 1): 1.0, (2, 3): 1e-16, (4, 5): 1e-16})
+        assert scheduler.schedule_gain(clients, cost_graph=(costs, None)) \
+            == scheduler.serial_time(clients) / sum([1.0, 1e-16, 1e-16], 0.0)
+
     def test_precompute_shared_across_technique_sets(self, channel, rng):
         # The arrays depend only on (channel, packet_bits), so ONE
         # precompute must serve all three Fig. 13 technique sets.

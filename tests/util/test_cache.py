@@ -1,6 +1,8 @@
-"""ResultCache behaviour: keys, roundtrips, inert mode, corruption."""
+"""ResultCache behaviour: keys, roundtrips, inert mode, corruption,
+interrupted writes."""
 
 import json
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -12,6 +14,8 @@ from repro.util.cache import (
     array_digest,
     stable_hash,
 )
+from repro.util.checkpoint import CheckpointStore
+from repro.util.errors import EXIT_RESUMABLE, run_cli
 
 
 KEY = {"engine": "test", "seed": 7, "config": {"n": 100}}
@@ -21,6 +25,30 @@ def _concurrent_put(root):
     """Worker for the concurrent-put race test (module-level: picklable)."""
     ResultCache(root).put(KEY, {"x": np.arange(64.0)})
     return True
+
+
+@pytest.fixture
+def interrupt_in_savez(monkeypatch):
+    """Deliver a stand-in SIGINT inside the first zip-entry close.
+
+    That leaves the zip with an open writing handle, so numpy's cleanup
+    ``zipf.close()`` raises ``ValueError`` over the interrupt.
+    """
+    real_close = zipfile._ZipWriteFile.close
+    interrupted = []
+
+    def close(self):
+        if not interrupted:
+            interrupted.append(self._zipfile)
+            raise KeyboardInterrupt
+        return real_close(self)
+
+    monkeypatch.setattr(zipfile._ZipWriteFile, "close", close)
+    yield
+    for archive in interrupted:
+        # Half open, as a real interrupt leaves it: detach its file so
+        # ZipFile.__del__ does not complain about the open handle.
+        archive.fp = None
 
 
 class TestStableHash:
@@ -241,3 +269,32 @@ class TestResultCache:
         cache = ResultCache.from_env()
         assert cache.enabled
         assert cache.root == tmp_path
+
+
+class TestInterruptedWrite:
+    """An interrupt inside ``np.savez_compressed`` stays an interrupt."""
+
+    def test_checkpoint_put_reraises_interrupt(self, tmp_path,
+                                               interrupt_in_savez):
+        store = CheckpointStore(tmp_path, KEY, n_chunks=1)
+        with pytest.raises(KeyboardInterrupt):
+            store.put_chunk(0, {"x": np.ones(4)})
+        assert store.completed_chunks() == []
+        assert not list(tmp_path.rglob("*.tmp*"))
+
+    def test_cache_put_reraises_interrupt(self, tmp_path,
+                                          interrupt_in_savez):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            cache.put(KEY, {"x": np.ones(4)})
+        assert list(tmp_path.iterdir()) == []
+        assert cache.get(KEY) is None
+
+    def test_cli_exits_resumable(self, tmp_path, interrupt_in_savez):
+        store = CheckpointStore(tmp_path, KEY, n_chunks=1)
+
+        def body():
+            store.put_chunk(0, {"x": np.ones(4)})
+            return 0
+
+        assert run_cli("prog", body) == EXIT_RESUMABLE
