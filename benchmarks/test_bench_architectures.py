@@ -4,21 +4,12 @@ The headline claim: end-to-end ``fig7.compute`` (EWLAN grids +
 residential rows + mesh geometry sweep, all through the batched
 pair-scenario engine and the supervised runner) beats the frozen
 scalar reference ``fig7.compute_scalar`` by >= 10x at the default
-Fig. 7 sweep size, while returning bit-identical reports.  The
-supporting claim: the MAC simulator's batched ``plan_schedule``
-reproduces the frozen per-slot planner bit for bit at a multiple of
-the speed.
+Fig. 7 sweep size, while returning bit-identical reports.
 """
-
-import numpy as np
 
 from conftest import best_of, emit, run_once
 
 from repro.experiments import fig7
-from repro.phy.shannon import Channel
-from repro.scheduling.scheduler import SicScheduler, UploadClient
-from repro.sim.wlan import UplinkSimulator
-from repro.techniques.pairing import TechniqueSet
 from repro.util.cache import ResultCache
 from repro.util.timing import PhaseTimer
 
@@ -65,44 +56,3 @@ def test_fig7_architecture_sweep_speedup(benchmark):
                                    for p, s in timer.phases.items())])
     assert speedup >= 10.0
 
-
-def test_plan_schedule_speedup(benchmark):
-    """Batched MAC-sim slot planning vs the frozen per-slot planner on
-    a large schedule, bit-identical plans required.
-
-    Timed on the plain pairing scheduler (solo/SERIAL/SIC slots — the
-    fully batched surface); the power-control / multirate expansions
-    deliberately keep the scalar per-slot path, so a TechniqueSet.ALL
-    schedule is only checked for bit-identity, not speed.
-    """
-    channel = Channel()
-    rng = np.random.default_rng(2010)
-    clients = [UploadClient(f"C{i + 1}", float(rss)) for i, rss
-               in enumerate(10 ** rng.uniform(-12.5, -8, size=400))]
-    scheduler = SicScheduler(channel=channel, techniques=TechniqueSet.NONE)
-    schedule = scheduler.schedule(clients)
-    simulator = UplinkSimulator(channel=channel)
-    rss = {c.name: c.rss_w for c in clients}
-
-    assert simulator.plan_schedule(schedule, rss) == \
-        simulator.plan_schedule_scalar(schedule, rss)
-    all_schedule = SicScheduler(
-        channel=channel, techniques=TechniqueSet.ALL).schedule(clients)
-    assert simulator.plan_schedule(all_schedule, rss) == \
-        simulator.plan_schedule_scalar(all_schedule, rss)
-
-    fast_s = best_of(lambda: simulator.plan_schedule(schedule, rss), 5)
-    scalar_s = best_of(
-        lambda: simulator.plan_schedule_scalar(schedule, rss), 3)
-    speedup = scalar_s / fast_s
-
-    run_once(benchmark, lambda: simulator.plan_schedule(schedule, rss))
-    benchmark.extra_info["fast_s"] = fast_s
-    benchmark.extra_info["scalar_s"] = scalar_s
-    benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["n_slots"] = len(schedule.slots)
-
-    emit([f"MAC-sim slot planning ({len(schedule.slots)} slots): "
-          f"{fast_s * 1e3:.1f} ms vs scalar {scalar_s * 1e3:.1f} ms "
-          f"-> {speedup:.1f}x"])
-    assert speedup >= 2.5

@@ -536,14 +536,3 @@ def min_weight_perfect_matching_scalar(
         raise ValueError("graph admits no perfect matching")
     return matching
 
-
-def matching_cost_scalar(matching: Set[Tuple[int, int]],
-                  costs: Dict[Tuple[int, int], float]) -> float:
-    """Total cost of a matching under a pair-cost map."""
-    total = 0.0
-    # Frozen reference: hash-order accumulation is part of the frozen
-    # behaviour and must not be "fixed" to sorted order here.
-    for (i, j) in matching:  # repro-lint: disable=RPR405
-        key = (i, j) if i < j else (j, i)
-        total += costs[key]
-    return total

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.scheduling.scheduler import Schedule, SicScheduler, UploadClient
-from repro.techniques.pairing import PairAirtime
 from repro.util.rng import SeedLike, as_seed_sequence, make_rng
 from repro.util.validation import check_positive
 
@@ -84,13 +83,14 @@ class OnlineMetrics:
         return min(1.0, self.busy_time_s / self.horizon_s)
 
 
-def _arrival_times_scalar(clients: Sequence[ArrivalClient],
-                          horizon_s: float,
-                          rng: np.random.Generator
-                          ) -> List[Tuple[float, str]]:
-    """One-draw-at-a-time :func:`_arrival_times`, kept as the golden
-    reference (PR-1 convention): the vectorised generator must replay
-    this draw for draw.  Must stay behaviourally frozen."""
+def _arrival_times(clients: Sequence[ArrivalClient], horizon_s: float,
+                   rng: np.random.Generator) -> List[Tuple[float, str]]:
+    """Merged, time-sorted (arrival_time, client) events.
+
+    Clients draw in order, one exponential gap at a time, each until
+    its first arrival past the horizon (that crossing draw is consumed
+    and discarded).
+    """
     events: List[Tuple[float, str]] = []
     for client in clients:
         t = 0.0
@@ -103,130 +103,20 @@ def _arrival_times_scalar(clients: Sequence[ArrivalClient],
     return events
 
 
-def _arrival_times(clients: Sequence[ArrivalClient], horizon_s: float,
-                   rng: np.random.Generator) -> List[Tuple[float, str]]:
-    """Merged, time-sorted (arrival_time, client) events.
-
-    Draw for draw identical to :func:`_arrival_times_scalar` with the
-    same generator: block draws of ``exponential(size=n)`` consume the
-    bit stream exactly like ``n`` sequential scalar draws, and
-    ``np.cumsum`` accumulates left to right exactly like the scalar
-    ``t +=`` chain.  The crossing draw index is found on a *snapshot*
-    of the generator state; the state is then rewound and exactly the
-    draws the scalar loop would have consumed are re-drawn, so every
-    client (and any later user of ``rng``) sees an unperturbed stream.
-    """
-    events: List[Tuple[float, str]] = []
-    for client in clients:
-        scale = 1.0 / client.arrival_rate_hz
-        # Expected number of draws incl. the horizon-crossing one, plus
-        # head room so one block usually suffices.
-        block = int(horizon_s / scale * 1.25) + 16
-        snapshot = rng.bit_generator.state
-        t = 0.0
-        needed = 0
-        while True:
-            # Block draws on a state snapshot: the stream is rewound
-            # below, so looping here never desyncs from the frozen
-            # per-draw reference.
-            gaps = rng.exponential(scale, size=block)  # repro-lint: disable=RPR403
-            times = np.cumsum(np.concatenate(([t], gaps)))[1:]
-            crossed = (times > horizon_s).nonzero()[0]
-            if crossed.size:
-                needed += int(crossed[0]) + 1
-                break
-            needed += block
-            t = float(times[-1])
-        rng.bit_generator.state = snapshot
-        # One exact-size block per client — precisely the draws the
-        # frozen scalar loop would have consumed for this client.
-        gaps = rng.exponential(scale, size=needed)  # repro-lint: disable=RPR403
-        times = np.cumsum(gaps)[:-1]
-        events.extend(zip(times.tolist(), [client.name] * (needed - 1)))
-    events.sort()
-    return events
-
-
-class PairCostCache:
-    """Memoises scheduler costs across online batches.
-
-    Pair and solo airtimes depend only on the RSS values involved (and
-    the scheduler's fixed technique set), and a whole batch schedule
-    depends only on *which* clients are backlogged — so in steady state
-    successive batches repeat and the blossom matching can be skipped
-    entirely.  Three memo levels:
-
-    * :meth:`solo_cost` — keyed by the client's RSS;
-    * :meth:`pair_cost` — keyed by the order-normalised RSS pair
-      (joint airtime is symmetric in its two clients);
-    * :meth:`schedule` — keyed by the frozenset of backlogged
-      ``(name, rss_w)`` pairs.
-
-    The schedule memo assumes a consistent batch order per client set
-    (true whenever batches are sub-sequences of one fixed client list,
-    as in :func:`simulate_online`); the returned :class:`Schedule`
-    objects are frozen dataclasses, safe to share between hits.
-    ``hits`` / ``misses`` count schedule-memo outcomes.
-    """
-
-    def __init__(self, scheduler: SicScheduler) -> None:
-        self.scheduler = scheduler
-        self._solo: Dict[float, float] = {}
-        self._pair: Dict[Tuple[float, float], PairAirtime] = {}
-        self._schedules: Dict[FrozenSet[Tuple[str, float]], Schedule] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def solo_cost(self, client: UploadClient) -> float:
-        """Memoised :meth:`SicScheduler.solo_cost`."""
-        cost = self._solo.get(client.rss_w)
-        if cost is None:
-            cost = self.scheduler.solo_cost(client)
-            self._solo[client.rss_w] = cost
-        return cost
-
-    def pair_cost(self, a: UploadClient, b: UploadClient) -> PairAirtime:
-        """Memoised :meth:`SicScheduler.pair_cost` (symmetric key)."""
-        key = ((a.rss_w, b.rss_w) if a.rss_w <= b.rss_w
-               else (b.rss_w, a.rss_w))
-        cost = self._pair.get(key)
-        if cost is None:
-            cost = self.scheduler.pair_cost(a, b)
-            self._pair[key] = cost
-        return cost
-
-    def schedule(self, batch: Sequence[UploadClient]) -> Schedule:
-        """Memoised :meth:`SicScheduler.schedule` over the batch set."""
-        key = frozenset((c.name, c.rss_w) for c in batch)
-        sched = self._schedules.get(key)
-        if sched is None:
-            self.misses += 1
-            sched = self.scheduler.schedule(batch)
-            self._schedules[key] = sched
-        else:
-            self.hits += 1
-        return sched
-
-
 def simulate_online(scheduler: SicScheduler,
                     clients: Sequence[ArrivalClient],
                     horizon_s: float,
                     policy: str = "sic_pairing",
-                    seed: SeedLike = None,
-                    cache: Optional[PairCostCache] = None,
-                    use_cache: bool = True) -> OnlineMetrics:
+                    seed: SeedLike = None) -> OnlineMetrics:
     """Run one online scheduling experiment over ``horizon_s`` seconds.
 
     Arrivals after the horizon are cut off; the run continues until the
     already-queued packets drain (so every generated packet gets a
     delay sample).  ``policy`` is ``"fifo"`` or ``"sic_pairing"``.
 
-    With ``use_cache`` (the default) batch schedules and solo costs are
-    memoised through a :class:`PairCostCache` — in steady state the
-    backlogged-client set repeats, so most batches skip the matching
-    entirely while producing bit-identical metrics.  Pass ``cache`` to
-    share memoised costs across runs of the same scheduler; it takes
-    precedence over ``use_cache``.
+    Solo costs are memoised by RSS and batch schedules by the set of
+    backlogged clients: in steady state that set repeats, so most
+    batches skip the matching entirely.
     """
     if policy not in ("fifo", "sic_pairing"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -234,8 +124,6 @@ def simulate_online(scheduler: SicScheduler,
     names = [c.name for c in clients]
     if len(set(names)) != len(names):
         raise ValueError(f"client names must be unique, got {names}")
-    if cache is None and use_cache:
-        cache = PairCostCache(scheduler)
 
     rng = make_rng(seed)
     arrivals = _arrival_times(clients, horizon_s, rng)
@@ -249,6 +137,11 @@ def simulate_online(scheduler: SicScheduler,
     queues: Dict[str, Deque[float]] = {c.name: deque() for c in clients}
     pending = arrivals[::-1]  # pop from the end = earliest first
     queued = 0
+    # Memos: solo cost by RSS, batch schedule by the set of backlogged
+    # names.  A set always yields the same batch order (the client
+    # list's), so its memoised schedule is what a fresh call returns.
+    solo_costs: Dict[float, float] = {}
+    schedules: Dict[FrozenSet[str], Schedule] = {}
 
     now = 0.0
 
@@ -273,9 +166,11 @@ def simulate_online(scheduler: SicScheduler,
                        key=lambda n: queues[n][0])
             arrival_time = queues[name].popleft()
             queued -= 1
-            client = by_name[name].as_upload_client()
-            service = (cache.solo_cost(client) if cache is not None
-                       else scheduler.solo_cost(client))
+            client = by_name[name]
+            service = solo_costs.get(client.rss_w)
+            if service is None:
+                service = scheduler.solo_cost(client.as_upload_client())
+                solo_costs[client.rss_w] = service
             now += service
             metrics.busy_time_s += service
             metrics.delays_s.append(now - arrival_time)
@@ -284,10 +179,13 @@ def simulate_online(scheduler: SicScheduler,
 
         # sic_pairing: schedule one head-of-line packet per backlogged
         # client as an optimal batch, then serve its slots in order.
-        batch = [by_name[name].as_upload_client()
-                 for name, q in queues.items() if q]
-        schedule = (cache.schedule(batch) if cache is not None
-                    else scheduler.schedule(batch))
+        batch = [name for name, q in queues.items() if q]
+        key = frozenset(batch)
+        schedule = schedules.get(key)
+        if schedule is None:
+            schedule = scheduler.schedule(
+                [by_name[name].as_upload_client() for name in batch])
+            schedules[key] = schedule
         for slot in schedule.slots:
             now += slot.duration_s
             metrics.busy_time_s += slot.duration_s

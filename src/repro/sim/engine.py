@@ -22,19 +22,9 @@ class Event:
     callback: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
     label: str = field(default="", compare=False)
-    # Bookkeeping for the scheduler's O(1) pending counter; not part
-    # of the construction or comparison contract.
-    _scheduler: Optional["EventScheduler"] = field(
-        default=None, compare=False, repr=False, init=False)
-    _popped: bool = field(default=False, compare=False, repr=False,
-                          init=False)
 
     def cancel(self) -> None:
-        if self.cancelled:
-            return
         self.cancelled = True
-        if self._scheduler is not None and not self._popped:
-            self._scheduler._note_cancelled()
 
 
 class EventScheduler:
@@ -45,7 +35,6 @@ class EventScheduler:
         self._counter = itertools.count()
         self._now = 0.0
         self._processed = 0
-        self._pending = 0
 
     @property
     def now_s(self) -> float:
@@ -57,12 +46,7 @@ class EventScheduler:
 
     @property
     def pending_count(self) -> int:
-        # Maintained incrementally (push / cancel / pop) so large heaps
-        # are not rescanned on every poll.
-        return self._pending
-
-    def _note_cancelled(self) -> None:
-        self._pending -= 1
+        return sum(1 for e in self._heap if not e.cancelled)
 
     def schedule_at(self, time_s: float, callback: Callable[[], None],
                     label: str = "") -> Event:
@@ -71,9 +55,7 @@ class EventScheduler:
             raise ValueError(
                 f"cannot schedule into the past: {time_s} < now {self._now}")
         event = Event(time_s, next(self._counter), callback, label=label)
-        event._scheduler = self
         heapq.heappush(self._heap, event)
-        self._pending += 1
         return event
 
     def schedule_after(self, delay_s: float, callback: Callable[[], None],
@@ -87,12 +69,8 @@ class EventScheduler:
         """Process the next pending event; None when the heap is empty."""
         while self._heap:
             event = heapq.heappop(self._heap)
-            event._popped = True
             if event.cancelled:
-                # Already subtracted from the pending counter when it
-                # was cancelled; just discard the heap entry.
                 continue
-            self._pending -= 1
             self._now = event.time_s
             self._processed += 1
             event.callback()

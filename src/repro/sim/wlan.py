@@ -15,9 +15,7 @@ the imperfection ablation measures SIC's collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.phy.shannon import Channel, airtime, shannon_rate
 from repro.scheduling.scheduler import Schedule, ScheduledSlot, UploadClient
@@ -165,94 +163,10 @@ class UplinkSimulator:
 
         raise ValueError(f"unknown slot mode {slot.mode!r}")
 
-    def plan_schedule_scalar(self, schedule: Schedule,
-                             rss: Dict[str, float]
-                             ) -> List[List[_PlannedTx]]:
-        """Frozen scalar reference: expand every slot one at a time.
-
-        The historical planning loop, behaviourally frozen (PR-1
-        convention): golden reference for the batched
-        :meth:`plan_schedule`.
-        """
-        return [self.plan_slot(slot, rss) for slot in schedule.slots]
-
     def plan_schedule(self, schedule: Schedule,
                       rss: Dict[str, float]) -> List[List[_PlannedTx]]:
-        """Expand all slots, batching the Shannon-rate evaluations.
-
-        Bit-identical to :meth:`plan_schedule_scalar`: solo, SERIAL and
-        SIC slots share one vectorised rate call per role while the
-        branchy SIC_POWER_CONTROL / SIC_MULTIRATE expansions (and the
-        unknown-mode error) keep the per-slot :meth:`plan_slot` path.
-        """
-        b, n0 = self.channel.bandwidth_hz, self.channel.noise_w
-        bits = self.packet_bits
-        slots = list(schedule.slots)
-        plans: List[List[_PlannedTx]] = [[] for _ in slots]
-
-        solo: List[Tuple[int, str, float]] = []
-        serial: List[Tuple[int, str, str, float, float]] = []
-        sic: List[Tuple[int, str, str, float, float]] = []
-        for index, slot in enumerate(slots):
-            if not slot.is_pair:
-                name = slot.clients[0]
-                solo.append((index, name, rss[name]))
-                continue
-            name_a, name_b = slot.clients
-            rss_a, rss_b = rss[name_a], rss[name_b]
-            if slot.mode is PairMode.SERIAL:
-                serial.append((index, name_a, name_b, rss_a, rss_b))
-            elif slot.mode is PairMode.SIC:
-                # Same tie-break as plan_slot: >= keeps the first client
-                # as the strong role on exact power ties.
-                if rss_a >= rss_b:
-                    sic.append((index, name_a, name_b, rss_a, rss_b))
-                else:
-                    sic.append((index, name_b, name_a, rss_b, rss_a))
-            else:
-                plans[index] = self.plan_slot(slot, rss)
-
-        if solo:
-            rates = shannon_rate(
-                b, np.array([power for _, _, power in solo], dtype=float),
-                0.0, n0)
-            for (index, name, power), rate in zip(
-                    solo, np.atleast_1d(rates).tolist()):
-                plans[index] = [_PlannedTx(name, power, float(rate),
-                                           bits, 0.0)]
-        if serial:
-            rates_a = shannon_rate(
-                b, np.array([s[3] for s in serial], dtype=float), 0.0, n0)
-            rates_b = shannon_rate(
-                b, np.array([s[4] for s in serial], dtype=float), 0.0, n0)
-            for (index, name_a, name_b, rss_a, rss_b), rate_a, rate_b in zip(
-                    serial, np.atleast_1d(rates_a).tolist(),
-                    np.atleast_1d(rates_b).tolist()):
-                t_a = float(airtime(bits, rate_a))
-                plans[index] = [
-                    _PlannedTx(name_a, rss_a, float(rate_a), bits, 0.0),
-                    _PlannedTx(name_b, rss_b, float(rate_b), bits, t_a),
-                ]
-        if sic:
-            strong_p = np.array([s[3] for s in sic], dtype=float)
-            weak_p = np.array([s[4] for s in sic], dtype=float)
-            rates_strong = shannon_rate(b, strong_p, weak_p, n0)
-            rates_weak = shannon_rate(b, weak_p, 0.0, n0)
-            for ((index, strong_name, weak_name, strong_rss, weak_rss),
-                 rate_strong, rate_weak) in zip(
-                    sic, np.atleast_1d(rates_strong).tolist(),
-                    np.atleast_1d(rates_weak).tolist()):
-                plans[index] = [
-                    _PlannedTx(strong_name, strong_rss, float(rate_strong),
-                               bits, 0.0,
-                               concurrent_power_w=weak_rss,
-                               concurrent_client=weak_name, role="strong"),
-                    _PlannedTx(weak_name, weak_rss, float(rate_weak),
-                               bits, 0.0,
-                               concurrent_power_w=strong_rss,
-                               concurrent_client=strong_name, role="weak"),
-                ]
-        return plans
+        """Expand every slot of ``schedule``, in order."""
+        return [self.plan_slot(slot, rss) for slot in schedule.slots]
 
     # ------------------------------------------------------------------
     # Execution
@@ -270,9 +184,8 @@ class UplinkSimulator:
         engine = EventScheduler()
         metrics = SimulationMetrics()
         slots = list(schedule.slots)
-        # One batched planning pass up front (bit-identical to planning
-        # inside the loop; planning errors now surface before any event
-        # fires instead of mid-run).
+        # Plan every slot up front, so a planning error surfaces before
+        # any event fires instead of mid-run.
         plans = self.plan_schedule(schedule, rss)
 
         def start_slot(index: int) -> None:

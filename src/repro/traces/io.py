@@ -120,7 +120,12 @@ def write_downlink_measurements(measurements: List[DownlinkMeasurement],
 
 
 def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
-    """Read a campaign written by :func:`write_downlink_measurements`."""
+    """Read a campaign written by :func:`write_downlink_measurements`.
+
+    Raises ``ValueError`` on a malformed record, and on a record count
+    that differs from the header's ``count``: a campaign cut at a line
+    boundary parses cleanly, so only the count shows it is torn.
+    """
     path = Path(path)
     measurements: List[DownlinkMeasurement] = []
     with path.open("r", encoding="utf-8") as fh:
@@ -151,4 +156,8 @@ def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed measurement "
                                  f"record") from exc
+    count = header.get("count")
+    if count is not None and count != len(measurements):
+        raise ValueError(f"{path}: header promises {count} locations, "
+                         f"found {len(measurements)}")
     return measurements

@@ -39,13 +39,10 @@ SHIPPED_SCALAR_KEYS = {
     "repro.experiments.montecarlo::one_receiver_technique_gains_scalar",
     "repro.experiments.montecarlo::two_receiver_scenarios_scalar",
     "repro.experiments.montecarlo::two_receiver_technique_gains_scalar",
-    "repro.scheduling.matching_scalar::matching_cost_scalar",
     "repro.scheduling.matching_scalar::max_weight_matching_scalar",
     "repro.scheduling.matching_scalar::min_weight_perfect_matching_scalar",
-    "repro.scheduling.online::_arrival_times_scalar",
     "repro.scheduling.scheduler::SicScheduler.build_cost_graph_scalar",
     "repro.scheduling.scheduler::SicScheduler.schedule_scalar",
-    "repro.sim.wlan::UplinkSimulator.plan_schedule_scalar",
     "repro.traces.downlink::DownlinkTraceGenerator.generate_scalar",
     "repro.traces.synthetic::UploadTraceGenerator.generate_scalar",
 }

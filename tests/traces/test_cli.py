@@ -94,6 +94,18 @@ class TestInspectCommand:
         assert rc == EXIT_CORRUPT_STATE
         assert "hint" in capsys.readouterr().err
 
+    def test_inspect_truncated_campaign_is_corrupt_state(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "campaign.jsonl"
+        main(["downlink", "--out", str(out), "--locations", "5",
+              "--seed", "3"])
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        rc = run_cli("repro-traces", lambda: main(["inspect", str(out)]))
+        assert rc == EXIT_CORRUPT_STATE
+        assert "promises 5 locations, found 4" in capsys.readouterr().err
+
     def test_inspect_torn_header_is_corrupt_state(self, tmp_path, capsys):
         torn = tmp_path / "torn.jsonl"
         torn.write_text('{"kind": "upload-tr')  # half a JSON header

@@ -100,3 +100,14 @@ class TestDownlinkRoundTrip:
         path = tmp_path / "none.jsonl"
         write_downlink_measurements([], path)
         assert read_downlink_measurements(path) == []
+
+    def test_truncated_campaign_rejected(self, campaign, tmp_path):
+        # Cut at a line boundary: every remaining record parses, so
+        # only the header's count can tell the campaign is torn.
+        path = tmp_path / "campaign.jsonl"
+        write_downlink_measurements(campaign, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match=r"promises 6 locations, "
+                                             r"found 5"):
+            read_downlink_measurements(path)
