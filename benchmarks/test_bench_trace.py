@@ -67,8 +67,10 @@ def test_fig13_fast_path_speedup(benchmark):
 
 
 def test_upload_trace_generation_speedup(benchmark):
-    """Vectorised ``generate`` vs frozen ``generate_scalar`` on the full
-    two-week trace, bit-identical output required."""
+    """Block-batched ``generate`` vs frozen ``generate_scalar`` on the
+    full two-week trace, bit-identical output required.  The floor pins
+    the per-block resolution: 38-58x on a 2-vCPU host, where resolving
+    each snapshot on its own read 28x."""
     generator = UploadTraceGenerator(UploadTraceConfig(duration_days=14.0))
 
     assert generator.generate(2010) == generator.generate_scalar(2010)
@@ -84,11 +86,13 @@ def test_upload_trace_generation_speedup(benchmark):
 
     emit([f"Upload trace generation (14 days): {fast_s * 1e3:.0f} ms vs "
           f"scalar {scalar_s * 1e3:.0f} ms -> {speedup:.1f}x"])
-    assert speedup >= 2.0
+    assert speedup >= 10.0
 
 
 def test_downlink_campaign_generation_speedup(benchmark):
-    """Vectorised downlink campaign vs its scalar reference."""
+    """Vectorised downlink campaign vs its scalar reference.  The floor
+    pins the one batched rate search: 25-27x on a 2-vCPU host, where a
+    scalar search per link read 1.3x."""
     generator = DownlinkTraceGenerator(DownlinkTraceConfig(n_locations=100))
 
     assert generator.generate(2010) == generator.generate_scalar(2010)
@@ -104,4 +108,4 @@ def test_downlink_campaign_generation_speedup(benchmark):
 
     emit([f"Downlink campaign (100 locations): {fast_s * 1e3:.0f} ms vs "
           f"scalar {scalar_s * 1e3:.0f} ms -> {speedup:.1f}x"])
-    assert speedup >= 1.0
+    assert speedup >= 5.0

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.phy.rates import RateStep
 from repro.util.units import linear_to_db
 from repro.util.validation import check_positive
@@ -82,6 +84,34 @@ class PacketErrorModel:
             packet_bits=packet_bits,
             reference_bits=self.reference_bits,
         )
+
+    def packet_success_batch(self, sinr_linear: np.ndarray, step: RateStep,
+                             packet_bits: float = 12000.0) -> np.ndarray:
+        """:meth:`packet_success` over an SINR array, element for element.
+
+        The dB conversion and the logistic's argument are array
+        operations, which round as the scalar ones do.  The exponential
+        runs through ``math.exp`` per element, as in the scalar curve:
+        ``np.exp`` rounds differently on a few percent of arguments.
+        """
+        sinr = np.asarray(sinr_linear, dtype=float)
+        if np.any(sinr < 0.0):
+            raise ValueError("SINR must be non-negative")
+        check_positive("packet_bits", packet_bits)
+        length_shift_db = math.log2(packet_bits / self.reference_bits) * 0.5
+        nonzero = sinr != 0.0
+        x = self.steepness_per_db * (
+            np.asarray(linear_to_db(sinr[nonzero]), dtype=float)
+            - step.min_sinr_db - length_shift_db)
+        # The scalar curve's clamps, in its order; NaN reaches the
+        # logistic there too.
+        success_nonzero = np.where(x > 40.0, 1.0, 0.0)
+        logistic = ~((x > 40.0) | (x < -40.0))
+        success_nonzero[logistic] = [1.0 / (1.0 + math.exp(-v))
+                                     for v in x[logistic].tolist()]
+        success = np.zeros(sinr.shape)
+        success[nonzero] = success_nonzero
+        return success
 
     def sinr_db_for_success(self, step: RateStep, target: float,
                             packet_bits: float = 12000.0) -> float:

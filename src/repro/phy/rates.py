@@ -236,3 +236,24 @@ def best_discrete_rate(table: RateTable, sinr_linear: float,
         if success >= target_success:
             best = step.rate_bps
     return best
+
+
+def best_discrete_rate_batch(table: RateTable, sinr_linear: np.ndarray,
+                             error_model: "PacketErrorModel",
+                             packet_bits: float = 12000.0,
+                             target_success: float = 0.9) -> np.ndarray:
+    """:func:`best_discrete_rate` under ``error_model``, over an SINR array.
+
+    Walks the table once for all elements, in the scalar search's step
+    order, and returns the same rate as the scalar call element for
+    element (pinned in ``tests/phy/test_rates.py``).  A negative SINR
+    raises the same ``ValueError`` as
+    :meth:`~repro.phy.error.PacketErrorModel.packet_success`.
+    """
+    check_probability("target_success", target_success)
+    sinr = np.asarray(sinr_linear, dtype=float)
+    best = np.zeros(sinr.shape)
+    for step in table.steps:
+        success = error_model.packet_success_batch(sinr, step, packet_bits)
+        best[success >= target_success] = step.rate_bps
+    return best

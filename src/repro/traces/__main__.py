@@ -74,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     downlink.add_argument("--aps", type=int, default=5)
     downlink.add_argument("--alpha", type=float, default=3.5)
     downlink.add_argument("--seed", type=int, default=2010)
-    downlink.add_argument("--workers", type=int, default=1,
-                          help="worker processes for the rate "
-                               "measurements (results are identical "
-                               "for any count)")
     downlink.add_argument("--progress", action="store_true",
                           help="print generation progress to stderr")
 
@@ -111,7 +107,7 @@ def _cmd_downlink(args: argparse.Namespace) -> int:
                                  pathloss_exponent=args.alpha)
     timer = PhaseTimer()
     measurements = DownlinkTraceGenerator(config).generate(
-        args.seed, n_workers=args.workers, timer=timer,
+        args.seed, timer=timer,
         progress=_progress_printer("locations") if args.progress else None)
     write_downlink_measurements(measurements, args.out)
     print(f"wrote {args.out}: {len(measurements)} locations x "

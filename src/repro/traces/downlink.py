@@ -16,10 +16,11 @@ the same 90 % criterion.
 
 The fast path batches each location's per-AP shadowing draws and RSS
 row (:meth:`~repro.phy.pathloss.PropagationModel.received_power_batch`,
-bit-identical to the scalar per-link calls) and can fan the
-deterministic rate measurements out to worker processes through the
-supervised indexed runner; :meth:`DownlinkTraceGenerator.generate_scalar`
-is the frozen scalar reference.
+bit-identical to the scalar per-link calls) and measures every clean
+and interfered rate of the campaign in one batched search
+(:func:`~repro.phy.rates.best_discrete_rate_batch`);
+:meth:`DownlinkTraceGenerator.generate_scalar` is the frozen scalar
+reference.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ import numpy as np
 from repro.phy.error import PacketErrorModel
 from repro.phy.noise import thermal_noise_watts
 from repro.phy.pathloss import LogDistancePathLoss
-from repro.phy.rates import DOT11G, RateTable, best_discrete_rate
+from repro.phy.rates import (
+    DOT11G,
+    RateTable,
+    best_discrete_rate,
+    best_discrete_rate_batch,
+)
 from repro.topology.geometry import Point
 from repro.topology.nodes import DEFAULT_TX_POWER_W
 from repro.traces.records import DownlinkMeasurement
@@ -44,9 +50,6 @@ from repro.util.validation import check_positive
 
 #: ``progress(done, total)`` callback — e.g. the CLI's stderr meter.
 ProgressFn = Callable[[int, int], None]
-
-#: Locations per chunk when the rate measurement runs pooled.
-MEASURE_CHUNK_LOCATIONS = 25
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,9 @@ def measure_rates(snr_db: Dict[str, float], rate_table: RateTable,
                       Dict[str, float], Dict[Tuple[str, str], float]]:
     """Emulate the 90 %-success bitrate measurements for one location.
 
-    Pure in its inputs, so the campaign's measurement phase can fan
-    locations out across worker processes without changing results.
+    One scalar rate search per link: the frozen reference's measurement.
+    :meth:`DownlinkTraceGenerator.generate` measures the whole campaign
+    in one batched search instead.
     """
     clean: Dict[str, float] = {}
     for ap, snr in snr_db.items():
@@ -119,34 +123,6 @@ def measure_rates(snr_db: Dict[str, float], rate_table: RateTable,
                 packet_bits=packet_bits,
                 target_success=target_success)
     return clean, interfered
-
-
-@dataclass(frozen=True)
-class _MeasureBatch:
-    """Picklable chunk config for the pooled rate measurement."""
-
-    snr_rows: Tuple[Tuple[float, ...], ...]
-    ap_names: Tuple[str, ...]
-    rate_table: RateTable
-    error_model: PacketErrorModel
-    packet_bits: float
-    target_success: float
-
-
-def _measure_chunk(batch: _MeasureBatch, start: int, n: int) -> Dict[str, np.ndarray]:
-    """Rate-measure locations ``[start, start + n)`` of the campaign."""
-    n_aps = len(batch.ap_names)
-    pair_keys = _interference_pairs(batch.ap_names)
-    clean_rows = np.empty((n, n_aps))
-    interfered_rows = np.empty((n, len(pair_keys)))
-    for k in range(n):
-        snr_db = dict(zip(batch.ap_names, batch.snr_rows[start + k]))
-        clean, interfered = measure_rates(
-            snr_db, batch.rate_table, batch.error_model,
-            batch.packet_bits, batch.target_success)
-        clean_rows[k] = [clean[ap] for ap in batch.ap_names]
-        interfered_rows[k] = [interfered[key] for key in pair_keys]
-    return {"clean": clean_rows, "interfered": interfered_rows}
 
 
 class DownlinkTraceGenerator:
@@ -184,32 +160,28 @@ class DownlinkTraceGenerator:
                              cfg.packet_bits, cfg.target_success)
 
     def generate(self, seed: SeedLike = None, *,
-                 n_workers: int = 1,
                  timer: Optional[PhaseTimer] = None,
-                 progress: Optional[ProgressFn] = None,
-                 policy: Optional[object] = None) -> List[DownlinkMeasurement]:
+                 progress: Optional[ProgressFn] = None) -> List[DownlinkMeasurement]:
         """Generate the full measurement campaign (fast path).
 
         The SNR rows replay the scalar RNG stream draw for draw (two
         scalar position draws, then one block shadowing draw per
-        location); the deterministic rate measurements run per location
-        — pooled across ``n_workers`` processes through the supervised
-        indexed runner when ``n_workers > 1``.  Results are
-        bit-identical to :meth:`generate_scalar` for any seed and any
-        worker count (pinned in ``tests/traces/test_downlink.py``).
+        location).  Every clean SNR and every interfered SINR of the
+        campaign then goes through one batched 90 %-success rate
+        search.  Results are bit-identical to :meth:`generate_scalar`
+        for any seed (pinned in ``tests/traces/test_downlink.py``).
 
         ``timer`` phases: ``draw`` / ``measure`` / ``assemble``;
-        ``progress(done, total)`` tracks the measurement sweep.
-        ``policy`` is an
-        :class:`~repro.experiments.runner.ExecutionPolicy` for the
-        pooled path (retries, pool rebuilds, worker timeouts).
+        ``progress(done, total)`` is invoked once per location after
+        the campaign's rates are measured.
         """
         rng = make_rng(seed)
         cfg = self.config
         ap_names = tuple(name for name, _ in self.ap_positions)
         ap_xy = [(pos.x, pos.y) for _, pos in self.ap_positions]
+        n_aps = len(ap_names)
         with maybe_phase(timer, "draw"):
-            snr_rows = np.empty((cfg.n_locations, len(ap_xy)))
+            snr_rows = np.empty((cfg.n_locations, n_aps))
             for loc_idx in range(cfg.n_locations):
                 # Per-location draws are the frozen stream: the scalar
                 # reference draws x-then-y per location before its block
@@ -223,47 +195,34 @@ class DownlinkTraceGenerator:
                     cfg.tx_power_w, distances, rng)
                 snr_rows[loc_idx] = np.asarray(
                     linear_to_db(rss / self.noise_w), dtype=float)
+        pair_keys = _interference_pairs(ap_names)
         with maybe_phase(timer, "measure"):
-            batch = _MeasureBatch(
-                snr_rows=tuple(tuple(row) for row in snr_rows.tolist()),
-                ap_names=ap_names, rate_table=self.rate_table,
-                error_model=self.error_model, packet_bits=cfg.packet_bits,
+            # measure_rates' SINRs: the SNRs in linear noise-normalised
+            # units, then s / (i + 1) for each (serving, interferer).
+            snr_linear = np.asarray(db_to_linear(snr_rows), dtype=float)
+            serving = [ap_names.index(s) for s, _ in pair_keys]
+            interferer = [ap_names.index(i) for _, i in pair_keys]
+            sinr = np.concatenate(
+                [snr_linear,
+                 snr_linear[:, serving] / (snr_linear[:, interferer] + 1.0)],
+                axis=1)
+            rates = best_discrete_rate_batch(
+                self.rate_table, sinr, self.error_model,
+                packet_bits=cfg.packet_bits,
                 target_success=cfg.target_success)
-            if n_workers > 1:
-                # Local import: the runner lives in the experiments
-                # layer, which itself imports the trace generators.
-                from repro.experiments.runner import run_indexed
-                merged = run_indexed(
-                    "downlink_measure", _measure_chunk, batch,
-                    cfg.n_locations, code_version=1, cache_key=None,
-                    n_workers=n_workers,
-                    chunk_size=MEASURE_CHUNK_LOCATIONS, policy=policy)
-                clean_rows = merged["clean"]
-                interfered_rows = merged["interfered"]
-                if progress is not None:
-                    progress(cfg.n_locations, cfg.n_locations)
-            else:
-                clean_rows = np.empty((cfg.n_locations, len(ap_names)))
-                interfered_rows = np.empty(
-                    (cfg.n_locations, len(ap_names) * (len(ap_names) - 1)))
-                for loc_idx in range(cfg.n_locations):
-                    chunk = _measure_chunk(batch, loc_idx, 1)
-                    clean_rows[loc_idx] = chunk["clean"][0]
-                    interfered_rows[loc_idx] = chunk["interfered"][0]
-                    if progress is not None:
-                        progress(loc_idx + 1, cfg.n_locations)
         with maybe_phase(timer, "assemble"):
-            pair_keys = _interference_pairs(ap_names)
             measurements: List[DownlinkMeasurement] = []
             for loc_idx in range(cfg.n_locations):
+                row = rates[loc_idx].tolist()
                 measurements.append(DownlinkMeasurement(
                     location=f"L{loc_idx + 1}",
                     snr_db=dict(zip(ap_names, snr_rows[loc_idx].tolist())),
-                    clean_rate_bps=dict(zip(
-                        ap_names, clean_rows[loc_idx].tolist())),
-                    interfered_rate_bps=dict(zip(
-                        pair_keys, interfered_rows[loc_idx].tolist())),
+                    clean_rate_bps=dict(zip(ap_names, row[:n_aps])),
+                    interfered_rate_bps=dict(zip(pair_keys, row[n_aps:])),
                 ))
+        if progress is not None:
+            for loc_idx in range(cfg.n_locations):
+                progress(loc_idx + 1, cfg.n_locations)
         return measurements
 
     def generate_scalar(self, seed: SeedLike = None) -> List[DownlinkMeasurement]:

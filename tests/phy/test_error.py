@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,3 +86,19 @@ class TestPacketErrorModel:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             PacketErrorModel(steepness_per_db=-1.0)
+
+
+class TestPacketSuccessBatch:
+    """``packet_success_batch`` equals ``packet_success`` element for
+    element.  The grid spans the whole logistic, where ``np.exp`` and
+    ``math.exp`` round differently on a few percent of arguments."""
+
+    def test_matches_scalar_element_for_element(self):
+        model = PacketErrorModel()
+        sinrs = np.append(db_to_linear(np.linspace(-30.0, 60.0, 1001)), 0.0)
+        for step in DOT11G.steps:
+            for bits in (12000.0, 4000.0):
+                expected = [model.packet_success(float(v), step, bits)
+                            for v in sinrs]
+                assert model.packet_success_batch(
+                    sinrs, step, bits).tolist() == expected

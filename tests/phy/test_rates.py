@@ -1,5 +1,6 @@
 """Discrete rate-table tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from repro.phy.rates import (
     RateStep,
     RateTable,
     best_discrete_rate,
+    best_discrete_rate_batch,
 )
 from repro.util.units import db_to_linear
 
@@ -151,6 +153,47 @@ class TestBestDiscreteRate:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             best_discrete_rate(DOT11G, 1.0, target_success=1.5)
+
+
+class TestBestDiscreteRateBatch:
+    """The batched search returns the scalar search's rate element for
+    element, on the 90 % boundary of every 802.11g step too, where one
+    ulp of the logistic decides the rate."""
+
+    MODEL = PacketErrorModel()
+
+    def scalar(self, sinrs):
+        return [best_discrete_rate(DOT11G, float(v), error_model=self.MODEL,
+                                   packet_bits=12000.0, target_success=0.9)
+                for v in sinrs]
+
+    def batch(self, sinrs):
+        return best_discrete_rate_batch(
+            DOT11G, np.asarray(sinrs, dtype=float), self.MODEL,
+            packet_bits=12000.0, target_success=0.9).tolist()
+
+    def test_matches_scalar_on_every_90pct_boundary(self):
+        grid = [0.0]
+        for step in DOT11G.steps:
+            edge = float(db_to_linear(
+                self.MODEL.sinr_db_for_success(step, 0.9)))
+            grid += [np.nextafter(edge, 0.0), edge,
+                     np.nextafter(edge, np.inf)]
+        rates = self.batch(grid)
+        assert rates == self.scalar(grid)
+        assert rates[0] == 0.0  # SINR 0 carries nothing
+
+    def test_negative_sinr_raises_like_packet_success(self):
+        with pytest.raises(ValueError) as scalar:
+            self.MODEL.packet_success(-1.0, DOT11G.steps[0])
+        with pytest.raises(ValueError) as batch:
+            self.batch([1.0, -1.0])
+        assert str(batch.value) == str(scalar.value)
+
+    def test_rejects_bad_target(self):
+        with pytest.raises(ValueError):
+            best_discrete_rate_batch(DOT11G, np.ones(2), self.MODEL,
+                                     target_success=1.5)
 
 
 class TestRateStep:

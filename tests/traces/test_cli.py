@@ -44,15 +44,6 @@ class TestDownlinkCommand:
         measurements = read_downlink_measurements(out)
         assert len(measurements) == 10
 
-    def test_workers_do_not_change_the_campaign(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        main(["downlink", "--out", str(a), "--locations", "12",
-              "--seed", "9"])
-        main(["downlink", "--out", str(b), "--locations", "12",
-              "--seed", "9", "--workers", "2"])
-        assert read_downlink_measurements(a) == \
-            read_downlink_measurements(b)
-
     def test_progress_and_timing_reported(self, tmp_path, capsys):
         out = tmp_path / "campaign.jsonl"
         rc = main(["downlink", "--out", str(out), "--locations", "8",

@@ -34,6 +34,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             UploadTraceConfig(ap_rows=0)
 
+    def test_rejects_nonpositive_tx_power(self):
+        with pytest.raises(ValueError, match="tx_power_w"):
+            UploadTraceConfig(tx_power_w=0.0)
+
 
 class TestOccupancy:
     def test_peaks_at_13h(self):
@@ -104,10 +108,10 @@ class TestGenerator:
 
 
 class TestVectorizedGoldenEquivalence:
-    """``generate`` (block draws, batched RSS, array association) must
-    reproduce the frozen ``generate_scalar`` bit for bit — same
-    snapshot order, same client names, same RSSI floats — for any seed
-    and config (PR-1 convention)."""
+    """``generate`` (per-step draws, block-batched RSS, association and
+    assembly) must reproduce the frozen ``generate_scalar`` bit for
+    bit — same snapshot order, same client names, same RSSI floats —
+    for any seed and config (PR-1 convention)."""
 
     CONFIGS = [
         UploadTraceConfig(duration_days=0.25),
@@ -119,6 +123,12 @@ class TestVectorizedGoldenEquivalence:
         # Harsh clipping exercises the sensitivity-floor path.
         UploadTraceConfig(duration_days=0.25, sensitivity_dbm=-60.0,
                           pathloss_exponent=4.5),
+        # 249 steps: ten full resolve blocks and a partial last one.
+        UploadTraceConfig(duration_days=2.6, peak_clients=8.0),
+        # So sparse that whole blocks draw no client, and with a floor
+        # so high that some blocks keep none of the clients they drew.
+        UploadTraceConfig(duration_days=3.0, peak_clients=0.05,
+                          sensitivity_dbm=-50.0),
     ]
 
     @pytest.mark.parametrize("config", CONFIGS,
