@@ -20,6 +20,7 @@ from repro.experiments import (
     fig13,
     fig14,
 )
+from repro.experiments.runner import ExecutionPolicy, SuitePool
 
 
 class TestFig2:
@@ -240,6 +241,14 @@ class TestFig12:
             assert comparison.mean_times["blossom"] == pytest.approx(
                 comparison.mean_times["brute_force"], rel=1e-9)
 
+    def test_brute_force_only_up_to_eight_clients(self, result):
+        for comparison in result["comparisons"]:
+            policies = ["blossom", "greedy", "random", "serial"]
+            if comparison.n_clients <= 8:
+                policies.append("brute_force")
+            assert list(comparison.mean_times) == policies
+            assert list(comparison.mean_gains) == policies
+
     def test_policy_ordering(self, result):
         for comparison in result["comparisons"]:
             times = comparison.mean_times
@@ -261,6 +270,47 @@ class TestFig12:
             assert all(v >= 0.0 for v in entry.values())
             phase_sum = sum(v for k, v in entry.items() if k != "total_s")
             assert phase_sum <= entry["total_s"]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sizes": (0,)}, "sizes must be >= 1, got 0"),
+        ({"sizes": (3, -2)}, "sizes must be >= 1, got -2"),
+        ({"sizes": (3,), "n_trials": 0}, "n_trials must be >= 1, got 0"),
+    ])
+    def test_rejects_bad_inputs(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fig12.compute(**kwargs)
+
+    def test_bad_inputs_rejected_before_any_chunk_runs(self):
+        # Raised inside a pooled chunk, the error would be retried and
+        # then surface as a transient ChunkExecutionError.
+        with SuitePool(1) as pool:
+            with pytest.raises(ValueError, match="got 0"):
+                fig12.compute(sizes=(3, 0), n_trials=1,
+                              policy=ExecutionPolicy(pool=pool))
+            assert pool.stats()["tasks_done"] == 0
+
+    def test_generator_seed_draws_one_stream_in_order(self):
+        # Every size, then the runtime table, draws from the caller's
+        # one generator, so a pooled call must not fork the stream into
+        # per-worker copies.  Values recorded before fig12 ran on the
+        # supervised runner.
+        kwargs = {"sizes": (3, 5), "n_trials": 2}
+        direct = fig12.compute(seed=np.random.default_rng(5), **kwargs)
+        with SuitePool(2) as pool:
+            pooled = fig12.compute(seed=np.random.default_rng(5),
+                                   policy=ExecutionPolicy(pool=pool),
+                                   **kwargs)
+            assert pool.stats()["tasks_done"] == 0
+        assert pooled["comparisons"] == direct["comparisons"]
+        small, large = direct["comparisons"]
+        assert small.mean_times["blossom"] == 0.0002590936644520132
+        assert large.mean_times == {
+            "blossom": 0.00044441433590727505,
+            "greedy": 0.00044441433590727505,
+            "random": 0.0005212604077011835,
+            "serial": 0.0005899889978795544,
+            "brute_force": 0.00044441433590727505,
+        }
 
 
 class TestFig13:

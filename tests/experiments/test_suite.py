@@ -14,7 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.experiments import fig6, fig11, fig13
+from repro.experiments import fig6, fig11, fig12, fig13
 from repro.experiments.runner import LaneQueue, SuitePool
 from repro.experiments.suite import run_suite
 from repro.experiments.transport import TransportPolicy, active_segments
@@ -120,6 +120,40 @@ class TestSuitePool:
         assert stats["busy_s"] <= stats["wall_s"] * stats["workers"]
 
 
+#: ``fig12.compute(sizes=(3, 5, 8), n_trials=5)`` comparisons, recorded
+#: before fig12 ran on the supervised runner: ``(n_clients, mean_times,
+#: mean_gains)``, each policy list in key order.
+FIG12_QUICK_COMPARISONS = [
+    (3,
+     [("blossom", 0.0002748458729783561), ("greedy", 0.0002748458729783561),
+      ("random", 0.00029534049299188777), ("serial", 0.0003355766590315603),
+      ("brute_force", 0.0002748458729783561)],
+     [("blossom", 1.2256336561747838), ("greedy", 1.2256336561747838),
+      ("random", 1.1422688146028352), ("serial", 1.0),
+      ("brute_force", 1.2256336561747838)]),
+    (5,
+     [("blossom", 0.00043858701666507204), ("greedy", 0.00044012373149069354),
+      ("random", 0.00046958772310328216), ("serial", 0.0005721072444160007),
+      ("brute_force", 0.00043858701666507204)],
+     [("blossom", 1.292637804678503), ("greedy", 1.2878016391915628),
+      ("random", 1.2024075902285907), ("serial", 1.0),
+      ("brute_force", 1.292637804678503)]),
+    (8,
+     [("blossom", 0.0006439029451170461), ("greedy", 0.0006473029205886421),
+      ("random", 0.000668622056431318), ("serial", 0.0008555026887527408),
+      ("brute_force", 0.0006439029451170461)],
+     [("blossom", 1.3269651603768666), ("greedy", 1.3183486149879875),
+      ("random", 1.270899874986118), ("serial", 1.0),
+      ("brute_force", 1.3269651603768666)]),
+]
+
+
+def _fig12_comparisons(result):
+    """Comparisons as plain tuples, keeping types and key order."""
+    return [(c.n_clients, list(c.mean_times.items()),
+             list(c.mean_gains.items())) for c in result["comparisons"]]
+
+
 def _assert_gain_maps_equal(actual, expected):
     assert set(actual) == set(expected)
     for label in expected:
@@ -171,6 +205,32 @@ class TestRunSuiteGolden:
                 continue
             assert np.array_equal(result[label]["gains"],
                                   direct[label]["gains"]), label
+
+    def test_fig12_items_run_on_the_pool(self):
+        kwargs = {"fig12": {"sizes": (3, 5), "n_trials": 2}}
+        suite = run_suite(["fig12"], kwargs, n_workers=2)
+        # One chunk per size plus the runtime table.
+        assert suite.pool_stats["tasks_done"] == 3
+        result = suite.runs()["fig12"].result
+        direct = fig12.compute(**kwargs["fig12"])
+        assert _fig12_comparisons(result) == _fig12_comparisons(direct)
+        assert list(result["runtime"]) == [4, 8, 16, 32, 64]
+        for entry in result["runtime"].values():
+            assert list(entry) == ["total_s", "cost_build_s",
+                                   "matching_s", "assembly_s"]
+
+    def test_fig12_pinned_to_recorded_values(self):
+        # Guards the chunk arrays' round trip: exact floats, plain
+        # types and key order.
+        kwargs = {"sizes": (3, 5, 8), "n_trials": 5}
+        suite = run_suite(["fig12"], {"fig12": kwargs}, n_workers=2)
+        for result in (suite.runs()["fig12"].result, fig12.compute(**kwargs)):
+            got = _fig12_comparisons(result)
+            assert got == FIG12_QUICK_COMPARISONS
+            for n_clients, times, gains in got:
+                assert type(n_clients) is int
+                assert all(type(value) is float
+                           for _, value in times + gains)
 
     def test_outcomes_in_paper_order_regardless_of_request_order(self):
         suite = run_suite(["fig10", "fig2"], {"fig2": {"n_points": 5}},
