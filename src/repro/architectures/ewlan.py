@@ -236,7 +236,6 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
                                propagation: Optional[PropagationModel] = None,
                                seed: SeedLike = None,
                                *,
-                               n_workers: int = 1,
                                chunk_size: Optional[int] = None,
                                cache: Optional[ResultCache] = None,
                                policy: Optional[ExecutionPolicy] = None,
@@ -251,7 +250,7 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
 
     Batched fast path: bit-identical to
     :func:`evaluate_ewlan_cross_pairs_scalar` for any seed, chunk size
-    and worker count.  ``timer`` splits wall-clock into ``sample`` /
+    and ``policy.pool``.  ``timer`` splits wall-clock into ``sample`` /
     ``evaluate`` / ``aggregate``.
     """
     if n_grids < 1:
@@ -291,7 +290,7 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
             channel, propagation, token)
         merged = run_indexed(
             "ewlan", pair_scenario_chunk, batch, distances.shape[0],
-            code_version=1, cache_key=cache_key, n_workers=n_workers,
+            code_version=1, cache_key=cache_key,
             chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
             cache=cache, policy=policy)
 

@@ -242,7 +242,6 @@ def evaluate_residential_rows(n_rows: int = 400,
                               propagation: Optional[PropagationModel] = None,
                               seed: SeedLike = None,
                               *,
-                              n_workers: int = 1,
                               chunk_size: Optional[int] = None,
                               cache: Optional[ResultCache] = None,
                               policy: Optional[ExecutionPolicy] = None,
@@ -252,7 +251,7 @@ def evaluate_residential_rows(n_rows: int = 400,
 
     Batched fast path: bit-identical to
     :func:`evaluate_residential_rows_scalar` for any seed, chunk size
-    and worker count.  ``timer`` splits wall-clock into ``sample`` /
+    and ``policy.pool``.  ``timer`` splits wall-clock into ``sample`` /
     ``evaluate`` / ``aggregate``.
     """
     if n_rows < 1:
@@ -296,7 +295,6 @@ def evaluate_residential_rows(n_rows: int = 400,
         merged = run_indexed(
             "residential", pair_scenario_chunk, batch,
             distances.shape[0], code_version=1, cache_key=cache_key,
-            n_workers=n_workers,
             chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
             cache=cache, policy=policy)
 

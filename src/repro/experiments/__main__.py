@@ -28,7 +28,6 @@ from repro.experiments.registry import (
     ordered_figures,
     run_experiment,
 )
-from repro.experiments.runner import default_suite_workers
 from repro.experiments.suite import run_suite
 from repro.util.cache import atomic_write_text
 from repro.util.errors import run_cli
@@ -49,6 +48,14 @@ QUICK_KWARGS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """An argparse ``type``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -61,17 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="reduced sample counts / grid sizes (same code paths)")
     parser.add_argument(
-        "--samples", type=int, default=None,
+        "--samples", type=positive_int, default=None,
         help="override Monte-Carlo sample count where applicable")
     parser.add_argument(
         "--seed", type=int, default=2010,
         help="Monte-Carlo seed (default 2010)")
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=positive_int, default=None, metavar="N",
         help="worker processes for the Monte-Carlo figures "
              "(results are identical for any count)")
     parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
+        "--chunk-size", type=positive_int, default=None, metavar="N",
         help="samples per supervised chunk (enables checkpoint "
              "granularity; results are identical for any size)")
     parser.add_argument(
@@ -108,8 +115,6 @@ def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
             kwargs["max_snapshots"] = args.samples
     if figure in _SUPERVISED_FIGURES:
         kwargs.setdefault("seed", args.seed)
-        if args.workers is not None:
-            kwargs["n_workers"] = args.workers
         if args.chunk_size is not None:
             kwargs["chunk_size"] = args.chunk_size
     return kwargs
@@ -154,17 +159,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     _note_inapplicable_samples(args, figures)
 
     summary: Optional[List[str]] = None
-    if args.figure == "all":
-        # All figures at once ride the shared suite pool; per-figure
-        # kwargs are exactly the single-figure ones, so suite outputs
-        # stay bit-identical to individual runs.
+    if args.figure == "all" or args.workers is not None:
+        # `all`, and one figure given --workers, run on one suite pool
+        # for the whole invocation: the only pool the CLI opens.
+        # Per-figure kwargs are exactly the in-process ones, so outputs
+        # stay bit-identical to an in-process run.
         suite = run_suite(
             figures,
             {figure: _kwargs_for(figure, args) for figure in figures},
-            n_workers=args.workers or default_suite_workers())
+            n_workers=args.workers)
         runs = [outcome.run for outcome in suite.outcomes
                 if outcome.run is not None]
-        summary = suite.summary_lines()
+        if args.figure == "all":
+            summary = suite.summary_lines()
     else:
         runs = [run_experiment(figure, **_kwargs_for(figure, args))
                 for figure in figures]

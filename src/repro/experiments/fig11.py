@@ -8,9 +8,9 @@ very little even with the optimizations.
 
 Runs on the batched Monte-Carlo engines; the two panels get spawned
 ``SeedSequence`` children (stable content for the result cache), and
-``n_workers``/``chunk_size``/``cache``/``policy`` pass straight
-through (``policy`` carries the supervised executor's fault-tolerance
-knobs; see ``docs/resilience.md``).
+``chunk_size``/``cache``/``policy`` pass straight through (``policy``
+carries the supervised executor's fault-tolerance knobs and the pool
+that runs chunks in worker processes; see ``docs/resilience.md``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ def compute(n_samples: int = 10_000,
             range_m: float = 20.0,
             pathloss_exponent: float = 4.0,
             seed: SeedLike = 2010,
-            n_workers: int = 1,
             chunk_size: Optional[int] = None,
             cache: CacheLike = None,
             policy: PolicyLike = None,
@@ -53,16 +52,16 @@ def compute(n_samples: int = 10_000,
     result: Dict[str, Dict[str, object]] = {}
     with maybe_phase(timer, "one_receiver"):
         one = one_receiver_technique_gains(
-            config, seed_one, n_workers=n_workers,
-            chunk_size=chunk_size, cache=cache, policy=policy)
+            config, seed_one, chunk_size=chunk_size, cache=cache,
+            policy=policy)
     result["one_receiver"] = {
         technique: {"gains": gains, "summary": gain_cdf_summary(gains)}
         for technique, gains in one.items()
     }
     with maybe_phase(timer, "two_receivers"):
         two = two_receiver_technique_gains(
-            config, seed_two, n_workers=n_workers,
-            chunk_size=chunk_size, cache=cache, policy=policy)
+            config, seed_two, chunk_size=chunk_size, cache=cache,
+            policy=policy)
     result["two_receivers"] = {
         technique: {"gains": gains, "summary": gain_cdf_summary(gains)}
         for technique, gains in two.items()

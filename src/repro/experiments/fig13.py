@@ -11,12 +11,13 @@ We run the identical pipeline over the synthetic building trace (see
 DESIGN.md for the substitution argument).
 
 Fast path (``docs/trace_performance.md``): the trace comes from the
-vectorised generator, the busy snapshots fan out across worker
-processes through the supervised indexed runner (retry/backoff,
-checkpoint/resume and the ``REPRO_CACHE_DIR`` result cache included),
-and each snapshot's backlog is costed once and shared by all three
-technique sets.  :func:`compute_scalar` freezes the historical serial
-pipeline as the golden reference and the benchmark baseline.
+vectorised generator, the busy snapshots run as chunks of the
+supervised indexed runner (retry/backoff, checkpoint/resume, the
+``REPRO_CACHE_DIR`` result cache, and worker processes when the
+``policy`` carries a pool), and each snapshot's backlog is costed once
+and shared by all three technique sets.  :func:`compute_scalar`
+freezes the historical serial pipeline as the golden reference and
+the benchmark baseline.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ TECHNIQUE_SETS = {
     "pairing+multirate": TechniqueSet.MULTIRATE,
 }
 
-#: Snapshots per chunk — fixed (not derived from ``n_workers``) so the
-#: chunk layout, and with it every cache and checkpoint key, is
+#: Snapshots per chunk — fixed (not derived from the pool's size) so
+#: the chunk layout, and with it every cache and checkpoint key, is
 #: identical for serial and parallel runs of the same evaluation.
 SNAPSHOT_CHUNK = 64
 
@@ -175,7 +176,6 @@ def compute(trace: Optional[UploadTrace] = None,
             packet_bits: float = 12_000.0,
             max_snapshots: Optional[int] = None,
             *,
-            n_workers: int = 1,
             chunk_size: Optional[int] = None,
             cache: Optional[ResultCache] = None,
             policy: Optional[ExecutionPolicy] = None,
@@ -186,14 +186,17 @@ def compute(trace: Optional[UploadTrace] = None,
     Pass a ``trace`` (e.g. read from JSONL) to evaluate existing data;
     otherwise a synthetic trace is generated from ``trace_config``.
 
-    Snapshot scheduling runs through
-    :func:`~repro.experiments.runner.run_indexed`: ``n_workers``
-    processes, ``policy`` fault handling, checkpoint/resume, and the
-    result cache (generated traces with cacheable seeds only) — with
-    results bit-identical to the serial path for any worker count.
-    ``timer`` splits wall-clock into ``trace_gen`` / ``scheduling`` /
-    ``assembly``.
+    ``max_snapshots`` keeps the first that many busy snapshots (at
+    least 1; ``None`` keeps all).  Snapshot scheduling runs through
+    :func:`~repro.experiments.runner.run_indexed`: ``policy`` fault
+    handling and pool, checkpoint/resume, and the result cache
+    (generated traces with cacheable seeds only) — with results
+    bit-identical to the serial path for any pool.  ``timer`` splits
+    wall-clock into ``trace_gen`` / ``scheduling`` / ``assembly``.
     """
+    if max_snapshots is not None and max_snapshots < 1:
+        raise ValueError(
+            f"max_snapshots must be at least 1 (or None), got {max_snapshots}")
     generated = trace is None
     config = None
     if generated:
@@ -223,7 +226,7 @@ def compute(trace: Optional[UploadTrace] = None,
                              "max_snapshots": max_snapshots}
         merged = run_indexed(
             "fig13", _fig13_chunk, batch, len(snapshots),
-            code_version=1, cache_key=cache_key, n_workers=n_workers,
+            code_version=1, cache_key=cache_key,
             chunk_size=chunk_size if chunk_size is not None
             else SNAPSHOT_CHUNK,
             cache=cache, policy=policy)

@@ -14,9 +14,10 @@ serves location 2 concurrently.
 Fast path (``docs/trace_performance.md``): the campaign comes from the
 vectorised downlink generator and the scenario index table is drawn
 up-front from the unchanged RNG stream, so the (deterministic) scenario
-evaluations can fan out across worker processes through the supervised
-indexed runner.  :func:`compute_scalar` freezes the historical serial
-pipeline as the golden reference.
+evaluations can run as chunks of the supervised indexed runner, in
+worker processes when the ``policy`` carries a pool.
+:func:`compute_scalar` freezes the historical serial pipeline as the
+golden reference.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ DEFAULT_PACKET_BITS = 12_000.0
 GAIN_LABELS = ("arbitrary", "arbitrary+packing",
                "discrete", "discrete+packing")
 
-#: Scenarios per chunk — fixed (not derived from ``n_workers``) so the
-#: chunk layout and every cache/checkpoint key match across worker
+#: Scenarios per chunk — fixed (not derived from the pool's size) so
+#: the chunk layout and every cache/checkpoint key match across worker
 #: counts.
 SCENARIO_CHUNK = 250
 
@@ -132,7 +133,6 @@ def compute(measurements: Optional[Sequence[DownlinkMeasurement]] = None,
             packet_bits: float = DEFAULT_PACKET_BITS,
             trace_config: Optional[DownlinkTraceConfig] = None,
             *,
-            n_workers: int = 1,
             chunk_size: Optional[int] = None,
             cache: Optional[ResultCache] = None,
             policy: Optional[ExecutionPolicy] = None,
@@ -144,15 +144,17 @@ def compute(measurements: Optional[Sequence[DownlinkMeasurement]] = None,
     "discrete": {...}, "discrete+packing": {...}}`` with gain arrays
     and summaries, plus a ``meta`` entry.
 
-    The campaign generation and scenario draws replay the scalar RNG
-    stream exactly; the scenario evaluations run through
-    :func:`~repro.experiments.runner.run_indexed` (``n_workers``
-    processes, ``policy`` fault handling, checkpoint/resume, result
-    cache for generated campaigns with cacheable seeds) with results
-    bit-identical to :func:`compute_scalar` for any worker count.
-    ``timer`` phases: ``trace_gen`` / ``draw`` / ``evaluate`` /
-    ``assembly``.
+    ``n_scenarios`` must be at least 1.  The campaign generation and
+    scenario draws replay the scalar RNG stream exactly; the scenario
+    evaluations run through
+    :func:`~repro.experiments.runner.run_indexed` (``policy`` fault
+    handling and pool, checkpoint/resume, result cache for generated
+    campaigns with cacheable seeds) with results bit-identical to
+    :func:`compute_scalar` for any pool.  ``timer`` phases:
+    ``trace_gen`` / ``draw`` / ``evaluate`` / ``assembly``.
     """
+    if n_scenarios < 1:
+        raise ValueError(f"n_scenarios must be at least 1, got {n_scenarios}")
     rng = make_rng(seed)
     generated = measurements is None
     config = None
@@ -195,7 +197,7 @@ def compute(measurements: Optional[Sequence[DownlinkMeasurement]] = None,
                              "packet_bits": packet_bits}
         merged = run_indexed(
             "fig14", _fig14_chunk, batch, n_scenarios,
-            code_version=1, cache_key=cache_key, n_workers=n_workers,
+            code_version=1, cache_key=cache_key,
             chunk_size=chunk_size if chunk_size is not None
             else SCENARIO_CHUNK,
             cache=cache, policy=policy)

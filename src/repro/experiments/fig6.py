@@ -8,10 +8,11 @@ exponents and other ranges ... are even lower").
 
 Runs on the batched Monte-Carlo engine: per-range seeds are spawned as
 ``SeedSequence`` children (stable content for the result cache), and
-``n_workers``/``chunk_size``/``cache``/``policy`` pass straight through
-to :func:`repro.experiments.montecarlo.two_receiver_scenarios` (the
-``policy`` knob is the supervised executor's fault-tolerance bundle;
-see ``docs/resilience.md``).
+``chunk_size``/``cache``/``policy`` pass straight through to
+:func:`repro.experiments.montecarlo.two_receiver_scenarios` (the
+``policy`` knob is the supervised executor's fault-tolerance bundle,
+and its ``pool`` runs the chunks in worker processes; see
+``docs/resilience.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def compute(ranges_m: Sequence[float] = DEFAULT_RANGES_M,
             n_samples: int = 10_000,
             pathloss_exponent: float = 4.0,
             seed: SeedLike = 2010,
-            n_workers: int = 1,
             chunk_size: Optional[int] = None,
             cache: CacheLike = None,
             policy: PolicyLike = None,
@@ -54,8 +54,8 @@ def compute(ranges_m: Sequence[float] = DEFAULT_RANGES_M,
                                   pathloss_exponent=pathloss_exponent)
         with maybe_phase(timer, f"range={range_m:g}m"):
             gains, case_fractions = two_receiver_scenarios(
-                config, range_seed, n_workers=n_workers,
-                chunk_size=chunk_size, cache=cache, policy=policy)
+                config, range_seed, chunk_size=chunk_size, cache=cache,
+                policy=policy)
         results[f"range={range_m:g}m"] = {
             "gains": gains,
             "summary": gain_cdf_summary(gains),

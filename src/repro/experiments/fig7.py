@@ -74,7 +74,6 @@ def compute(n_ewlan_grids: int = 100,
             n_residential_rows: int = 300,
             seed: SeedLike = 2010,
             *,
-            n_workers: int = 1,
             chunk_size: Optional[int] = None,
             cache: Optional[ResultCache] = None,
             policy: Optional[ExecutionPolicy] = None,
@@ -91,14 +90,12 @@ def compute(n_ewlan_grids: int = 100,
     seed_ewlan, seed_res = spawn_seed_sequences(seed, 2)
     ewlan = evaluate_ewlan_cross_pairs(n_grids=n_ewlan_grids,
                                        channel=channel, seed=seed_ewlan,
-                                       n_workers=n_workers,
                                        chunk_size=chunk_size,
                                        cache=cache, policy=policy,
                                        timer=timer)
     residential = evaluate_residential_rows(n_rows=n_residential_rows,
                                             channel=channel,
                                             seed=seed_res,
-                                            n_workers=n_workers,
                                             chunk_size=chunk_size,
                                             cache=cache, policy=policy,
                                             timer=timer)

@@ -25,10 +25,11 @@ Batched engines run the sweep in chunks.  With the default
 caller's seed, so results match the scalar reference draw for draw.
 With an explicit ``chunk_size`` each chunk gets its own child seed
 spawned deterministically from the caller's seed
-(`SeedSequence.spawn`), and ``n_workers > 1`` evaluates chunks in a
-process pool.  Chunking — and therefore every result — depends only on
-``(seed, n_samples, chunk_size)``, never on ``n_workers``, so a
-parallel run is bit-identical to a serial one.
+(`SeedSequence.spawn`), and a :class:`~repro.experiments.runner.SuitePool`
+in the ``policy`` evaluates chunks in its worker processes.  Chunking —
+and therefore every result — depends only on
+``(seed, n_samples, chunk_size)``, never on the pool, so a parallel run
+is bit-identical to a serial one.
 
 Results are memoised through :class:`repro.util.cache.ResultCache`
 (set ``REPRO_CACHE_DIR`` or pass an explicit cache) keyed by
@@ -145,37 +146,17 @@ class MonteCarloConfig:
 
 
 # ---------------------------------------------------------------------------
-# Chunked execution substrate (supervised; see repro.experiments.runner)
-# ---------------------------------------------------------------------------
-
-def _run_chunked(engine, chunk_fn, config, seed, n_workers, chunk_size,
-                 cache, kwargs, policy=None):
-    """Run one batched engine under the supervised executor.
-
-    Thin wrapper binding this module's :data:`MONTECARLO_CODE_VERSION`
-    into :func:`repro.experiments.runner.run_chunked`; kept so the
-    engines (and their tests) have a single local seam.
-    """
-    return run_chunked(engine, chunk_fn, config, seed,
-                       code_version=MONTECARLO_CODE_VERSION,
-                       n_workers=n_workers, chunk_size=chunk_size,
-                       cache=cache, kwargs=kwargs, policy=policy)
-
-
-# ---------------------------------------------------------------------------
 # Fig. 6 — two transmitter-receiver pairs
 # ---------------------------------------------------------------------------
 
 def two_receiver_gains(config: MonteCarloConfig,
                        seed: SeedLike = None, *,
-                       n_workers: int = 1,
                        chunk_size: Optional[int] = None,
                        cache: CacheLike = None,
                        policy: PolicyLike = None) -> np.ndarray:
     """Fig. 6: SIC gain samples for random two-pair topologies."""
-    gains, _ = two_receiver_scenarios(config, seed, n_workers=n_workers,
-                                      chunk_size=chunk_size, cache=cache,
-                                      policy=policy)
+    gains, _ = two_receiver_scenarios(config, seed, chunk_size=chunk_size,
+                                      cache=cache, policy=policy)
     return gains
 
 
@@ -210,7 +191,6 @@ def _pair_rss_batch(topologies: PairTopologyBatch, config: MonteCarloConfig
 
 def two_receiver_scenarios(config: MonteCarloConfig,
                            seed: SeedLike = None, *,
-                           n_workers: int = 1,
                            chunk_size: Optional[int] = None,
                            cache: CacheLike = None,
                            policy: PolicyLike = None
@@ -222,13 +202,13 @@ def two_receiver_scenarios(config: MonteCarloConfig,
     topologies where SIC was actually usable.
 
     Vectorised engine; see the module docstring for the chunking,
-    ``n_workers``, ``cache`` and ``policy`` semantics.  The per-draw
-    reference is :func:`two_receiver_scenarios_scalar`.
+    ``cache`` and ``policy`` semantics.  The per-draw reference is
+    :func:`two_receiver_scenarios_scalar`.
     """
-    raw = _run_chunked("two_receiver_scenarios",
-                       _two_receiver_scenarios_chunk,
-                       config, seed, n_workers, chunk_size, cache, {},
-                       policy)
+    raw = run_chunked("two_receiver_scenarios",
+                      _two_receiver_scenarios_chunk, config, seed,
+                      code_version=MONTECARLO_CODE_VERSION,
+                      chunk_size=chunk_size, cache=cache, policy=policy)
     codes = raw["case_codes"].astype(np.uint8)
     feasible = raw["sic_feasible"].astype(bool)
     counts = np.bincount(codes, minlength=len(CASE_ORDER))
@@ -333,7 +313,6 @@ def _one_receiver_packing_gain_batch(channel: Channel, packet_bits: float,
 def one_receiver_technique_gains(config: MonteCarloConfig,
                                  seed: SeedLike = None,
                                  max_fast_packets: int = 8, *,
-                                 n_workers: int = 1,
                                  chunk_size: Optional[int] = None,
                                  cache: CacheLike = None,
                                  policy: PolicyLike = None,
@@ -347,10 +326,12 @@ def one_receiver_technique_gains(config: MonteCarloConfig,
     Vectorised engine; the per-draw reference is
     :func:`one_receiver_technique_gains_scalar`.
     """
-    return _run_chunked("one_receiver_technique_gains",
-                        _one_receiver_chunk, config, seed, n_workers,
-                        chunk_size, cache,
-                        {"max_fast_packets": max_fast_packets}, policy)
+    return run_chunked("one_receiver_technique_gains",
+                       _one_receiver_chunk, config, seed,
+                       code_version=MONTECARLO_CODE_VERSION,
+                       chunk_size=chunk_size, cache=cache,
+                       kwargs={"max_fast_packets": max_fast_packets},
+                       policy=policy)
 
 
 def one_receiver_technique_gains_scalar(config: MonteCarloConfig,
@@ -437,7 +418,6 @@ def _two_receiver_technique_chunk(config: MonteCarloConfig, seed: SeedLike,
 def two_receiver_technique_gains(config: MonteCarloConfig,
                                  seed: SeedLike = None,
                                  max_fast_packets: int = 8, *,
-                                 n_workers: int = 1,
                                  chunk_size: Optional[int] = None,
                                  cache: CacheLike = None,
                                  policy: PolicyLike = None,
@@ -452,10 +432,12 @@ def two_receiver_technique_gains(config: MonteCarloConfig,
     Vectorised engine; the per-draw reference is
     :func:`two_receiver_technique_gains_scalar`.
     """
-    return _run_chunked("two_receiver_technique_gains",
-                        _two_receiver_technique_chunk, config, seed,
-                        n_workers, chunk_size, cache,
-                        {"max_fast_packets": max_fast_packets}, policy)
+    return run_chunked("two_receiver_technique_gains",
+                       _two_receiver_technique_chunk, config, seed,
+                       code_version=MONTECARLO_CODE_VERSION,
+                       chunk_size=chunk_size, cache=cache,
+                       kwargs={"max_fast_packets": max_fast_packets},
+                       policy=policy)
 
 
 def two_receiver_technique_gains_scalar(config: MonteCarloConfig,

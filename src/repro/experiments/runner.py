@@ -43,14 +43,15 @@ randomness).
 
 Pooled chunks always run on a :class:`SuitePool`: one persistent
 ``ProcessPoolExecutor`` fed by a dispatcher thread from fair
-per-engine lanes.  The suite engine (:mod:`repro.experiments.suite`)
-shares one pool across figures through :attr:`ExecutionPolicy.pool`;
-a call with ``n_workers > 1`` and no shared pool opens a private pool
-for that call alone.  Orthogonally, :attr:`ExecutionPolicy.transport`
-enables the zero-copy chunk transport
-(:mod:`repro.experiments.transport`): workers park large results in
-shared memory and the supervisor decodes them on consumption; the pool
-releases any abandoned segment on every recovery path.
+per-engine lanes, opened and closed by its caller.  A supervisor pools
+only when :attr:`ExecutionPolicy.pool` holds such a pool (the suite
+engine, :mod:`repro.experiments.suite`, shares one across figures) and
+more than one chunk is pending; otherwise it runs its chunks
+in-process.  Orthogonally, :attr:`ExecutionPolicy.transport` enables
+the zero-copy chunk transport (:mod:`repro.experiments.transport`):
+workers park large results in shared memory and the supervisor decodes
+them on consumption; the pool releases any abandoned segment on every
+recovery path.
 """
 
 from __future__ import annotations
@@ -220,15 +221,15 @@ class ExecutionPolicy:
 
     ``watchdog`` supervises pooled rounds for hung workers.
 
-    ``pool`` plugs in a *shared* :class:`SuitePool` (the suite
-    engine's): pooled rounds then submit chunks to that pool's
+    ``pool`` plugs in a :class:`SuitePool` owned by the caller (the
+    suite engine's): pooled rounds then submit chunks to that pool's
     per-engine lane, and a broken round asks it to rebuild.  Without
-    one, a call with ``n_workers > 1`` opens a private pool for its own
-    duration.  ``transport`` opts pooled chunk results into the
-    shared-memory transport (:mod:`repro.experiments.transport`);
-    ``transport_stats`` is the parent-side byte counter the suite
-    summary reads.  Neither knob ever changes results — chunks stay
-    pure functions of ``(config, seed, size)``.
+    one, every chunk runs in-process.  ``transport`` opts pooled chunk
+    results into the shared-memory transport
+    (:mod:`repro.experiments.transport`); ``transport_stats`` is the
+    parent-side byte counter the suite summary reads.  Neither knob
+    ever changes results — chunks stay pure functions of
+    ``(config, seed, size)``.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -363,7 +364,7 @@ def _timed(fn: Callable[..., object],
 
 
 def default_suite_workers() -> int:
-    """Worker count the CLI uses when ``--workers`` is not given."""
+    """Worker count of a :class:`SuitePool` opened without one."""
     return min(4, os.cpu_count() or 1)
 
 
@@ -453,9 +454,10 @@ class _SuiteRound:
 
 
 class SuitePool:
-    """A persistent supervised worker pool, shared or private.
+    """A persistent supervised worker pool, owned by whoever opens it.
 
-    Supervisors submit chunks through per-engine lanes
+    Supervisors reach it through :attr:`ExecutionPolicy.pool` and
+    submit chunks through per-engine lanes
     (:meth:`open_round`); a dispatcher thread drains the fair
     round-robin queue into one long-lived ``ProcessPoolExecutor``,
     throttled to ``2 x workers`` in-flight chunks so no single figure
@@ -745,14 +747,10 @@ class _Supervisor:
 
     # -- execution modes --------------------------------------------------
 
-    def run(self, n_workers: int) -> Dict[int, ChunkResult]:
+    def run(self) -> Dict[int, ChunkResult]:
         self._restore_checkpointed()
-        pending = len(self.pending())
-        if pending > 1 and self.policy.pool is not None:
+        if len(self.pending()) > 1 and self.policy.pool is not None:
             self._run_pooled(self.policy.pool)
-        elif pending > 1 and n_workers > 1:
-            with SuitePool(min(n_workers, pending)) as pool:
-                self._run_pooled(pool)
         self._run_inline()
         return self.results
 
@@ -880,7 +878,7 @@ class _Supervisor:
 # ---------------------------------------------------------------------------
 
 def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
-                code_version: int, n_workers: int = 1,
+                code_version: int,
                 chunk_size: Optional[int] = None,
                 cache: Optional[ResultCache] = None,
                 kwargs: Optional[Mapping[str, object]] = None,
@@ -890,11 +888,9 @@ def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
     ``chunk_fn(config, seed, n, **kwargs)`` evaluates one chunk of
     ``n`` draws and returns named 1-D arrays; chunks are concatenated
     in index order, so the merged arrays depend only on
-    ``(seed, n_samples, chunk_size)`` — never on ``n_workers``, retry
+    ``(seed, n_samples, chunk_size)`` — never on ``policy.pool``, retry
     outcomes, or whether the run resumed from a checkpoint.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
     kwargs = dict(kwargs or {})
     sizes = chunk_sizes(config.n_samples, chunk_size)
     token = seed_cache_token(seed)
@@ -912,13 +908,12 @@ def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
     # caller's SeedSequence untouched.
     return _run_supervised(engine, chunk_fn, config, sizes, kwargs,
                            run_key, partial(chunk_seeds, seed, len(sizes)),
-                           n_workers, cache, policy)
+                           cache, policy)
 
 
 def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
                 code_version: int,
                 cache_key: Optional[Mapping[str, object]] = None,
-                n_workers: int = 1,
                 chunk_size: Optional[int] = None,
                 cache: Optional[ResultCache] = None,
                 kwargs: Optional[Mapping[str, object]] = None,
@@ -940,8 +935,6 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
     trace config + seed); when ``None`` the run is treated as
     uncacheable — no result cache, no checkpoints.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
     if n_items < 0:
         raise ValueError("n_items must be non-negative")
     kwargs = dict(kwargs or {})
@@ -962,14 +955,14 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
     # i evaluates the pure function (config, starts[i], sizes[i]).
     return _run_supervised(engine, chunk_fn, config, sizes, kwargs,
                            run_key, partial(chunk_starts, sizes),
-                           n_workers, cache, policy)
+                           cache, policy)
 
 
 def _run_supervised(engine: str, chunk_fn: ChunkFn, config: object,
                     sizes: List[int], kwargs: Mapping[str, object],
                     run_key: Optional[Mapping[str, object]],
                     make_seeds: Callable[[], List[SeedLike]],
-                    n_workers: int, cache: Optional[ResultCache],
+                    cache: Optional[ResultCache],
                     policy: Optional[ExecutionPolicy]) -> ChunkResult:
     """Serve ``run_key`` from the cache, or supervise, merge and store.
 
@@ -992,7 +985,7 @@ def _run_supervised(engine: str, chunk_fn: ChunkFn, config: object,
 
     supervisor = _Supervisor(engine, chunk_fn, config, make_seeds(), sizes,
                              kwargs, policy, checkpoint)
-    chunks = supervisor.run(n_workers)
+    chunks = supervisor.run()
 
     merged = _merge_chunks(chunks, len(sizes))
     if key is not None:

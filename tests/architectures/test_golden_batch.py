@@ -2,7 +2,7 @@
 
 The fast paths must reproduce the frozen ``*_scalar`` references bit
 for bit — same RNG stream, same floating-point association — for any
-seed, chunk size and worker count.  Dataclass equality compares every
+seed, chunk size and pool.  Dataclass equality compares every
 field exactly (no tolerances anywhere in this file).
 """
 
@@ -25,6 +25,7 @@ from repro.phy.pathloss import LogDistancePathLoss
 from repro.phy.shannon import Channel
 from repro.sic.scenarios import CASE_ORDER
 from repro.util.cache import ResultCache
+from tests.conftest import run_pooled
 
 #: Timing-free runs must not leak results between parametrisations.
 NO_CACHE = ResultCache(None)
@@ -76,8 +77,9 @@ class TestEwlanGolden:
     def test_worker_count_invariant(self):
         base = evaluate_ewlan_cross_pairs(n_grids=12, seed=5,
                                           cache=NO_CACHE)
-        parallel = evaluate_ewlan_cross_pairs(n_grids=12, seed=5,
-                                              n_workers=2, cache=NO_CACHE)
+        # Small chunks, so the pairs span several pool tasks.
+        parallel = run_pooled(2, evaluate_ewlan_cross_pairs, n_grids=12,
+                              seed=5, chunk_size=3, cache=NO_CACHE)
         assert parallel == base
 
     def test_rows_are_deterministically_ordered(self):
@@ -134,8 +136,8 @@ class TestResidentialGolden:
     def test_worker_count_invariant(self):
         base = evaluate_residential_rows(n_rows=15, seed=9,
                                          cache=NO_CACHE)
-        parallel = evaluate_residential_rows(n_rows=15, seed=9,
-                                             n_workers=2, cache=NO_CACHE)
+        parallel = run_pooled(2, evaluate_residential_rows, n_rows=15,
+                              seed=9, chunk_size=5, cache=NO_CACHE)
         assert parallel == base
 
     def test_no_clients_matches_scalar_error(self):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.experiments.runner import ExecutionPolicy, SuitePool
 from repro.phy.noise import thermal_noise_watts
 from repro.phy.shannon import Channel
 
@@ -29,3 +32,16 @@ def rng() -> np.random.Generator:
 def snr_w(channel: Channel, snr_db: float) -> float:
     """RSS in watts for a given SNR over the channel's noise."""
     return float(10.0 ** (snr_db / 10.0)) * channel.noise_w
+
+
+def run_pooled(n_workers: int, fn, *args, **kwargs):
+    """Call ``fn`` with its ``policy`` on a ``SuitePool(n_workers)``.
+
+    The pool is opened for this one call and closed when the call
+    returns or raises, so a test owns its pool's whole lifecycle.  A
+    ``policy`` keyword is kept and given the pool; without one the call
+    gets ``ExecutionPolicy.from_env()``, the engines' own default.
+    """
+    policy = kwargs.pop("policy", None) or ExecutionPolicy.from_env()
+    with SuitePool(n_workers) as pool:
+        return fn(*args, policy=replace(policy, pool=pool), **kwargs)

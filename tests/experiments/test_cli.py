@@ -9,6 +9,7 @@ from repro.experiments.registry import (
     ordered_figures,
     run_experiment,
 )
+from repro.experiments.runner import SuitePool
 
 
 class TestRegistry:
@@ -36,6 +37,20 @@ class TestRegistry:
     def test_sort_key_handles_unknown_ids(self):
         assert figure_sort_key("fig2") < figure_sort_key("fig10")
         assert figure_sort_key("fig10") < figure_sort_key("weird")
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """Counts every ``SuitePool`` the code under test opens."""
+    opened = []
+    original = SuitePool.__init__
+
+    def counting_init(self, *args, **kwargs):
+        opened.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SuitePool, "__init__", counting_init)
+    return opened
 
 
 class TestMain:
@@ -88,3 +103,35 @@ class TestMain:
         assert main(["claims", "--quick", "--samples", "100"]) == 0
         out = capsys.readouterr().out
         assert "C3_two_receiver_frac_no_gain" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["fig13", "--quick", "--workers", "0"],
+        ["fig13", "--quick", "--workers", "-1"],
+        ["all", "--quick", "--workers", "0"],
+        ["fig6", "--quick", "--chunk-size", "0"],
+        ["fig6", "--quick", "--samples", "0"],
+        ["fig13", "--quick", "--samples", "-1"],
+        ["claims", "--samples", "0"],
+    ], ids=" ".join)
+    def test_counts_below_one_are_usage_errors(self, argv, capsys,
+                                               pools_opened):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert pools_opened == []
+
+    @pytest.mark.parametrize("figure,chunk_size", [("fig6", "100"),
+                                                   ("fig13", "10")])
+    def test_workers_open_one_pool_and_keep_the_output(
+            self, figure, chunk_size, tmp_path, capsys, pools_opened):
+        argv = [figure, "--quick", "--chunk-size", chunk_size, "--json"]
+        assert main(argv + [str(tmp_path / "inline.json")]) == 0
+        assert pools_opened == []
+        assert main(argv + [str(tmp_path / "pooled.json"),
+                            "--workers", "2"]) == 0
+        assert len(pools_opened) == 1
+        assert pools_opened[0].workers == 2
+        assert (tmp_path / "pooled.json").read_bytes() \
+            == (tmp_path / "inline.json").read_bytes()
+        assert "== suite:" not in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import fig7
+from tests.conftest import run_pooled
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +48,9 @@ class TestFig7Compute:
         from repro.util.cache import ResultCache
         base = fig7.compute(n_ewlan_grids=8, n_residential_rows=12,
                             seed=3, cache=ResultCache(None))
-        tuned = fig7.compute(n_ewlan_grids=8, n_residential_rows=12,
-                             seed=3, n_workers=2, chunk_size=5,
-                             cache=ResultCache(None))
+        tuned = run_pooled(2, fig7.compute, n_ewlan_grids=8,
+                           n_residential_rows=12, seed=3, chunk_size=5,
+                           cache=ResultCache(None))
         assert tuned["ewlan"] == base["ewlan"]
         assert tuned["residential"] == base["residential"]
 

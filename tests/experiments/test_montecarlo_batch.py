@@ -8,9 +8,9 @@ compared with a tight tolerance (the only permitted difference is
 last-ulp trig/hypot rounding); case fractions must match exactly.
 
 Chunked runs re-seed per chunk, so their reference is the scalar engine
-run chunk-by-chunk on the same spawned seeds.  Worker count must never
-change results: ``n_workers=1`` and ``n_workers=4`` must be
-bit-identical.
+run chunk-by-chunk on the same spawned seeds.  The pool must never
+change results: an in-process run and one on a 4-worker ``SuitePool``
+in the policy must be bit-identical.
 """
 
 import json
@@ -30,6 +30,7 @@ from repro.experiments.montecarlo import (
     two_receiver_technique_gains_scalar,
 )
 from repro.util.cache import ResultCache, array_digest
+from tests.conftest import run_pooled
 
 RTOL = 1e-9
 
@@ -71,16 +72,15 @@ class TestTwoReceiverScenariosEquivalence:
     def test_matches_scalar_draw_for_draw(self, config, n_workers):
         gains_ref, fractions_ref = two_receiver_scenarios_scalar(config,
                                                                  seed=42)
-        gains, fractions = two_receiver_scenarios(config, seed=42,
-                                                  n_workers=n_workers)
+        gains, fractions = run_pooled(n_workers, two_receiver_scenarios,
+                                      config, seed=42)
         np.testing.assert_allclose(gains, gains_ref, rtol=RTOL)
         assert fractions == fractions_ref
 
     def test_workers_do_not_change_chunked_results(self, config):
-        serial = two_receiver_scenarios(config, seed=42, chunk_size=128,
-                                        n_workers=1)
-        parallel = two_receiver_scenarios(config, seed=42, chunk_size=128,
-                                          n_workers=4)
+        serial = two_receiver_scenarios(config, seed=42, chunk_size=128)
+        parallel = run_pooled(4, two_receiver_scenarios, config, seed=42,
+                              chunk_size=128)
         assert np.array_equal(serial[0], parallel[0])
         assert serial[1] == parallel[1]
 
@@ -101,8 +101,8 @@ class TestOneReceiverTechniqueEquivalence:
     @pytest.mark.parametrize("n_workers", N_WORKERS)
     def test_matches_scalar_draw_for_draw(self, config, n_workers):
         ref = one_receiver_technique_gains_scalar(config, seed=43)
-        out = one_receiver_technique_gains(config, seed=43,
-                                           n_workers=n_workers)
+        out = run_pooled(n_workers, one_receiver_technique_gains, config,
+                         seed=43)
         assert set(out) == set(ref)
         for technique in ref:
             np.testing.assert_allclose(out[technique], ref[technique],
@@ -110,9 +110,9 @@ class TestOneReceiverTechniqueEquivalence:
 
     def test_workers_do_not_change_chunked_results(self, config):
         serial = one_receiver_technique_gains(config, seed=43,
-                                              chunk_size=99, n_workers=1)
-        parallel = one_receiver_technique_gains(config, seed=43,
-                                                chunk_size=99, n_workers=4)
+                                              chunk_size=99)
+        parallel = run_pooled(4, one_receiver_technique_gains, config,
+                              seed=43, chunk_size=99)
         for technique in serial:
             assert np.array_equal(serial[technique], parallel[technique])
 
@@ -121,8 +121,8 @@ class TestTwoReceiverTechniqueEquivalence:
     @pytest.mark.parametrize("n_workers", N_WORKERS)
     def test_matches_scalar_draw_for_draw(self, config, n_workers):
         ref = two_receiver_technique_gains_scalar(config, seed=44)
-        out = two_receiver_technique_gains(config, seed=44,
-                                           n_workers=n_workers)
+        out = run_pooled(n_workers, two_receiver_technique_gains, config,
+                         seed=44)
         assert set(out) == set(ref)
         for technique in ref:
             np.testing.assert_allclose(out[technique], ref[technique],
@@ -130,9 +130,9 @@ class TestTwoReceiverTechniqueEquivalence:
 
     def test_workers_do_not_change_chunked_results(self, config):
         serial = two_receiver_technique_gains(config, seed=44,
-                                              chunk_size=77, n_workers=1)
-        parallel = two_receiver_technique_gains(config, seed=44,
-                                                chunk_size=77, n_workers=4)
+                                              chunk_size=77)
+        parallel = run_pooled(4, two_receiver_technique_gains, config,
+                              seed=44, chunk_size=77)
         for technique in serial:
             assert np.array_equal(serial[technique], parallel[technique])
 

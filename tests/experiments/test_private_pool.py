@@ -1,10 +1,11 @@
-"""Private pooled runs: ``n_workers > 1`` without a shared pool.
+"""Pooled runs on a pool the caller opens for one call.
 
-Such a run opens a :class:`~repro.experiments.runner.SuitePool` for the
-call alone.  An operator interrupt must stop it promptly instead of
-draining every queued chunk first, and every run, whatever its outcome,
-must leave no worker process, dispatcher thread or shared-memory
-segment behind.
+``run_pooled`` opens a :class:`~repro.experiments.runner.SuitePool`,
+hands it to the call through ``ExecutionPolicy.pool`` and closes it
+when the call ends.  An operator interrupt must stop such a run
+promptly instead of draining every queued chunk first, and every run,
+whatever its outcome, must leave no worker process, dispatcher thread
+or shared-memory segment behind once the pool is closed.
 """
 
 import _thread
@@ -25,6 +26,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.transport import TransportPolicy, active_segments
 from repro.util.faults import FaultInjector, always_failing
+from tests.conftest import run_pooled
 
 #: Every result rides shared memory, so a stranded segment would show.
 _SHM = TransportPolicy(min_bytes=1)
@@ -50,8 +52,8 @@ def _marking_chunk(config, seed, n, marker_dir):
 
 
 def _run(policy):
-    return run_chunked("private", _payload_chunk, _Cfg(), 7, code_version=0,
-                       n_workers=2, chunk_size=50, policy=policy)
+    return run_pooled(2, run_chunked, "private", _payload_chunk, _Cfg(), 7,
+                      code_version=0, chunk_size=50, policy=policy)
 
 
 def _serial():
@@ -75,10 +77,10 @@ def test_interrupt_stops_a_private_pooled_run(tmp_path):
     timer.start()
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_chunked("marks", _marking_chunk, _Cfg(), 3, code_version=0,
-                        n_workers=2, chunk_size=10,
-                        kwargs={"marker_dir": str(tmp_path)},
-                        policy=ExecutionPolicy())
+            run_pooled(2, run_chunked, "marks", _marking_chunk, _Cfg(), 3,
+                       code_version=0, chunk_size=10,
+                       kwargs={"marker_dir": str(tmp_path)},
+                       policy=ExecutionPolicy())
     finally:
         timer.cancel()
         timer.join(timeout=10)

@@ -33,6 +33,7 @@ from repro.experiments.runner import (
 from repro.util.cache import ResultCache
 from repro.util.checkpoint import CHECKPOINT_DIR_ENV
 from repro.util.faults import FaultInjector, RetryPolicy, always_failing
+from tests.conftest import run_pooled
 
 CONFIG = MonteCarloConfig(n_samples=300)
 CHUNK = 60  # -> 5 chunks
@@ -75,24 +76,23 @@ class TestDeterminismUnderFaults:
 
     def test_fig6_engine_matches_fault_free_serial(self):
         ref, fractions_ref = two_receiver_scenarios(CONFIG, seed=42,
-                                                    chunk_size=CHUNK,
-                                                    n_workers=1)
+                                                    chunk_size=CHUNK)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # recovery must stay quiet
-            gains, fractions = two_receiver_scenarios(
-                CONFIG, seed=42, chunk_size=CHUNK, n_workers=2,
-                policy=ExecutionPolicy(faults=STORMY))
+            gains, fractions = run_pooled(
+                2, two_receiver_scenarios, CONFIG, seed=42,
+                chunk_size=CHUNK, policy=ExecutionPolicy(faults=STORMY))
         assert np.array_equal(gains, ref)
         assert fractions == fractions_ref
 
     def test_fig11_engine_matches_fault_free_serial(self):
         ref = one_receiver_technique_gains(CONFIG, seed=43,
-                                           chunk_size=CHUNK, n_workers=1)
+                                           chunk_size=CHUNK)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = one_receiver_technique_gains(
-                CONFIG, seed=43, chunk_size=CHUNK, n_workers=2,
-                policy=ExecutionPolicy(faults=STORMY))
+            out = run_pooled(
+                2, one_receiver_technique_gains, CONFIG, seed=43,
+                chunk_size=CHUNK, policy=ExecutionPolicy(faults=STORMY))
         assert set(out) == set(ref)
         for technique in ref:
             assert np.array_equal(out[technique], ref[technique]), technique
@@ -100,7 +100,7 @@ class TestDeterminismUnderFaults:
     def test_inline_retries_match_too(self):
         ref, _ = two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK)
         gains, _ = two_receiver_scenarios(
-            CONFIG, seed=42, chunk_size=CHUNK, n_workers=1,
+            CONFIG, seed=42, chunk_size=CHUNK,
             policy=ExecutionPolicy(faults=FaultInjector(
                 fail_first_attempts=1)))
         assert np.array_equal(gains, ref)
@@ -108,8 +108,9 @@ class TestDeterminismUnderFaults:
     def test_retry_budget_never_changes_results(self):
         ref, _ = two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK)
         for max_attempts in (2, 5):
-            gains, _ = two_receiver_scenarios(
-                CONFIG, seed=42, chunk_size=CHUNK, n_workers=2,
+            gains, _ = run_pooled(
+                2, two_receiver_scenarios, CONFIG, seed=42,
+                chunk_size=CHUNK,
                 policy=ExecutionPolicy(
                     retry=RetryPolicy(max_attempts=max_attempts),
                     faults=FaultInjector(fail_first_attempts=1)))
@@ -126,7 +127,7 @@ class TestDeterminismUnderFaults:
             }))
         ref, _ = two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK)
         gains, _ = two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK,
-                                          n_workers=1, policy=policy)
+                                          policy=policy)
         assert np.array_equal(gains, ref)
         assert delays == [0.25, 0.5]  # deterministic exponential ladder
 
@@ -138,9 +139,8 @@ class TestDegradation:
             max_pool_rebuilds=2,
             faults=FaultInjector(pool_break_rounds={0, 1, 2}))
         with pytest.warns(ExecutionDegradedWarning) as record:
-            gains, _ = two_receiver_scenarios(CONFIG, seed=42,
-                                              chunk_size=CHUNK, n_workers=2,
-                                              policy=policy)
+            gains, _ = run_pooled(2, two_receiver_scenarios, CONFIG,
+                                  seed=42, chunk_size=CHUNK, policy=policy)
         assert np.array_equal(gains, ref)
         (warning,) = record
         assert warning.message.engine == "two_receiver_scenarios"
@@ -155,10 +155,11 @@ class TestDegradation:
                           kwargs={"marker_dir": str(tmp_path)})
         (tmp_path / "slept").unlink()  # re-arm the slow first call
         with pytest.warns(ExecutionDegradedWarning) as record:
-            out = run_chunked("slow", _slow_once_chunk, _TinyConfig(), 11,
-                              code_version=0, chunk_size=50, n_workers=2,
-                              kwargs={"marker_dir": str(tmp_path)},
-                              policy=policy)
+            out = run_pooled(2, run_chunked, "slow", _slow_once_chunk,
+                             _TinyConfig(), 11, code_version=0,
+                             chunk_size=50,
+                             kwargs={"marker_dir": str(tmp_path)},
+                             policy=policy)
         assert np.array_equal(out["x"], ref["x"])
         assert "no worker progress" in record[0].message.reason
 
@@ -171,7 +172,7 @@ class TestRetryExhaustion:
                                   max_attempts=2))
         with pytest.raises(ChunkExecutionError) as excinfo:
             two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK,
-                                   n_workers=1, policy=policy)
+                                   policy=policy)
         assert excinfo.value.engine == "two_receiver_scenarios"
         assert excinfo.value.chunk_index == 2
         assert excinfo.value.attempts == 2
@@ -295,8 +296,7 @@ class TestAcceptanceSweep:
     ])
     def test_full_fault_sweep_matches_reference(self, tmp_path, engine_fn,
                                                 seed):
-        reference = engine_fn(CONFIG, seed=seed, chunk_size=CHUNK,
-                              n_workers=1)
+        reference = engine_fn(CONFIG, seed=seed, chunk_size=CHUNK)
 
         cache = ResultCache(tmp_path / "cache")
         engine_fn(CONFIG, seed=seed, chunk_size=CHUNK, cache=cache)
@@ -307,8 +307,8 @@ class TestAcceptanceSweep:
             checkpoint_dir=tmp_path / "ckpt",
             faults=FaultInjector(fail_first_attempts=1,
                                  pool_break_rounds={0}))
-        stormy = engine_fn(CONFIG, seed=seed, chunk_size=CHUNK, n_workers=2,
-                           cache=cache, policy=policy)
+        stormy = run_pooled(2, engine_fn, CONFIG, seed=seed,
+                            chunk_size=CHUNK, cache=cache, policy=policy)
 
         assert cache.quarantined == 1  # the corrupt entry, set aside
         if isinstance(reference, tuple):
@@ -334,12 +334,12 @@ class TestAcceptanceSweep:
             faults=always_failing("two_receiver_scenarios", 3))
         with pytest.raises(ChunkExecutionError):
             two_receiver_scenarios(CONFIG, seed=47, chunk_size=CHUNK,
-                                   n_workers=1, policy=policy)
+                                   policy=policy)
 
         runner._guarded_chunk = counting_guard
         try:
             gains, _ = two_receiver_scenarios(
-                CONFIG, seed=47, chunk_size=CHUNK, n_workers=1,
+                CONFIG, seed=47, chunk_size=CHUNK,
                 policy=ExecutionPolicy(checkpoint_dir=tmp_path))
         finally:
             runner._guarded_chunk = original

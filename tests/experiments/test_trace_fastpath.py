@@ -2,7 +2,7 @@
 
 The hard invariant mirrors the Monte-Carlo engines': chunk ``i`` of an
 indexed run is a pure function of ``(config, start i, size i)``, so the
-merged result is independent of chunking, worker count, caching and
+merged result is independent of chunking, the pool, caching and
 faults — and the figure pipelines built on top (``fig13.compute``,
 ``fig14.compute``) must be bit-identical to their frozen ``*_scalar``
 references under every execution mode.
@@ -17,10 +17,11 @@ from repro.experiments.runner import (
     ExecutionPolicy,
     run_indexed,
 )
-from repro.traces.downlink import DownlinkTraceConfig
+from repro.traces.downlink import DownlinkTraceConfig, DownlinkTraceGenerator
 from repro.traces.synthetic import UploadTraceConfig, UploadTraceGenerator
 from repro.util.cache import ResultCache
 from repro.util.faults import FaultInjector, always_failing
+from tests.conftest import run_pooled
 
 
 def _square_chunk(config, start, n, scale=1.0):
@@ -54,8 +55,8 @@ class TestRunIndexed:
     def test_worker_invariance(self):
         ref = run_indexed("eng", _square_chunk, None, 40,
                           code_version=0, chunk_size=10)
-        out = run_indexed("eng", _square_chunk, None, 40,
-                          code_version=0, chunk_size=10, n_workers=3)
+        out = run_pooled(3, run_indexed, "eng", _square_chunk, None, 40,
+                         code_version=0, chunk_size=10)
         assert np.array_equal(out["idx"], ref["idx"])
         assert np.array_equal(out["sq"], ref["sq"])
 
@@ -71,9 +72,6 @@ class TestRunIndexed:
         assert np.array_equal(out["sq"], 3.0 * np.arange(5.0) ** 2)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            run_indexed("eng", _square_chunk, None, 5,
-                        code_version=0, n_workers=0)
         with pytest.raises(ValueError):
             run_indexed("eng", _square_chunk, None, -1, code_version=0)
 
@@ -158,8 +156,9 @@ class TestFig13Golden:
         assert_results_identical(fast, scalar)
 
     def test_parallel_equals_serial(self, fast):
+        # 60 snapshots fit one default chunk; 16 per chunk reach the pool.
         assert_results_identical(
-            fig13.compute(**self.KW, n_workers=2), fast)
+            run_pooled(2, fig13.compute, **self.KW, chunk_size=16), fast)
 
     def test_chunk_size_invariant(self, fast):
         assert_results_identical(
@@ -184,6 +183,16 @@ class TestFig13Golden:
         assert list(timer.phases) == ["trace_gen", "scheduling", "assembly"]
         assert all(t >= 0.0 for t in timer.phases.values())
 
+    @pytest.mark.parametrize("max_snapshots", [0, -1])
+    def test_rejects_max_snapshots_below_one(self, max_snapshots,
+                                             monkeypatch):
+        # Rejected before the trace is generated.
+        monkeypatch.delattr(UploadTraceGenerator, "generate")
+        with pytest.raises(ValueError,
+                           match=rf"max_snapshots .*got {max_snapshots}"):
+            fig13.compute(trace_config=self.CONFIG, seed=2010,
+                          max_snapshots=max_snapshots)
+
 
 class TestFig14Golden:
     KW = dict(trace_config=DownlinkTraceConfig(n_locations=20),
@@ -202,7 +211,7 @@ class TestFig14Golden:
 
     def test_parallel_equals_serial(self, fast):
         assert_results_identical(
-            fig14.compute(**self.KW, n_workers=2), fast)
+            run_pooled(2, fig14.compute, **self.KW), fast)
 
     def test_chunk_size_invariant(self, fast):
         assert_results_identical(
@@ -222,3 +231,12 @@ class TestFig14Golden:
         assert list(timer.phases) == ["trace_gen", "draw", "evaluate",
                                       "assembly"]
         assert all(t >= 0.0 for t in timer.phases.values())
+
+    @pytest.mark.parametrize("n_scenarios", [0, -3])
+    def test_rejects_n_scenarios_below_one(self, n_scenarios, monkeypatch):
+        # Rejected before the campaign is generated.
+        monkeypatch.delattr(DownlinkTraceGenerator, "generate")
+        with pytest.raises(ValueError,
+                           match=rf"n_scenarios .*got {n_scenarios}"):
+            fig14.compute(trace_config=self.KW["trace_config"], seed=2010,
+                          n_scenarios=n_scenarios)

@@ -23,6 +23,7 @@ from repro.experiments.transport import (
     shm_available,
 )
 from repro.util.faults import FaultInjector
+from tests.conftest import run_pooled
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="no usable shared memory on this platform")
@@ -148,9 +149,9 @@ class TestSupervisedRuns:
         stats = TransportStats()
         policy = ExecutionPolicy(transport=TransportPolicy(min_bytes=1),
                                  transport_stats=stats)
-        pooled = run_chunked("transport_pooled", _payload_chunk,
-                             _TinyConfig(), seed=5, code_version=1,
-                             n_workers=2, chunk_size=100, policy=policy)
+        pooled = run_pooled(2, run_chunked, "transport_pooled",
+                            _payload_chunk, _TinyConfig(), seed=5,
+                            code_version=1, chunk_size=100, policy=policy)
         for name in serial:
             assert np.array_equal(serial[name], pooled[name])
         assert stats.as_dict()["shm_chunks"] > 0
@@ -167,9 +168,9 @@ class TestSupervisedRuns:
             transport_stats=stats,
             faults=FaultInjector(fail_first_attempts=1,
                                  pool_break_rounds={0}))
-        faulted = run_chunked("transport_faulted", _payload_chunk,
-                              _TinyConfig(), seed=9, code_version=1,
-                              n_workers=2, chunk_size=100, policy=policy)
+        faulted = run_pooled(2, run_chunked, "transport_faulted",
+                             _payload_chunk, _TinyConfig(), seed=9,
+                             code_version=1, chunk_size=100, policy=policy)
         for name in serial:
             assert np.array_equal(serial[name], faulted[name])
         assert active_segments() == before

@@ -26,6 +26,7 @@ from repro.experiments.runner import (
 )
 from repro.util.checkpoint import CheckpointStore
 from repro.util.errors import ResumableInterrupt
+from tests.conftest import run_pooled
 from tests.experiments.test_runner_faults import (
     _TinyConfig,
     _slow_once_chunk,
@@ -157,10 +158,11 @@ class TestPooledIntegration:
                           kwargs={"marker_dir": str(tmp_path)})
         (tmp_path / "slept").unlink()  # re-arm the slow first call
         with pytest.warns(ExecutionDegradedWarning) as record:
-            out = run_chunked("slow", _slow_once_chunk, _TinyConfig(), 11,
-                              code_version=0, chunk_size=50, n_workers=2,
-                              kwargs={"marker_dir": str(tmp_path)},
-                              policy=policy)
+            out = run_pooled(2, run_chunked, "slow", _slow_once_chunk,
+                             _TinyConfig(), 11, code_version=0,
+                             chunk_size=50,
+                             kwargs={"marker_dir": str(tmp_path)},
+                             policy=policy)
         assert np.array_equal(out["x"], ref["x"])
         assert "deadline" in record[0].message.reason
 
@@ -173,11 +175,11 @@ class TestPooledIntegration:
                           kwargs={"marker_dir": str(tmp_path)})
         (tmp_path / "slept").unlink()
         with pytest.warns(ExecutionDegradedWarning) as record:
-            out = run_indexed("slow-idx", _slow_once_chunk, _TinyConfig(),
-                              250, code_version=0, chunk_size=50,
-                              n_workers=2,
-                              kwargs={"marker_dir": str(tmp_path)},
-                              policy=policy)
+            out = run_pooled(2, run_indexed, "slow-idx", _slow_once_chunk,
+                             _TinyConfig(), 250, code_version=0,
+                             chunk_size=50,
+                             kwargs={"marker_dir": str(tmp_path)},
+                             policy=policy)
         assert np.array_equal(out["x"], ref["x"])
         assert "no worker progress" in record[0].message.reason
 
