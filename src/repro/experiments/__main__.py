@@ -28,7 +28,7 @@ from repro.experiments.registry import (
     ordered_figures,
     run_experiment,
 )
-from repro.experiments.suite import run_suite
+from repro.experiments.suite import _accepts, run_suite
 from repro.util.cache import atomic_write_text
 from repro.util.errors import run_cli
 
@@ -94,9 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 #: Figures whose compute() threads the supervised-execution knobs.
 _SUPERVISED_FIGURES = ("fig6", "fig7", "fig11", "fig13", "fig14")
 
-#: Figures whose scale responds to --samples (the Monte-Carlo /
-#: trace-driven set); the rest are closed-form or fixed-size.
-_SAMPLES_FIGURES = frozenset(_SUPERVISED_FIGURES)
+#: Runs whose scale responds to --samples (the Monte-Carlo /
+#: trace-driven figures and the claims); the rest are closed-form or
+#: fixed-size.
+_SAMPLES_FIGURES = frozenset(_SUPERVISED_FIGURES + ("claims",))
 
 
 def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
@@ -120,17 +121,27 @@ def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _note_inapplicable_samples(args: argparse.Namespace,
-                               figures: List[str]) -> None:
-    """One consolidated stderr note instead of silently ignoring."""
-    if args.samples is None:
-        return
-    skipped = [figure for figure in figures
-               if figure not in _SAMPLES_FIGURES]
-    if skipped:
-        print("note: --samples does not apply to "
-              + ", ".join(skipped)
-              + " (closed-form or fixed-size figures)", file=sys.stderr)
+def _note_inapplicable(args: argparse.Namespace, figures: List[str],
+                       pooled: bool) -> None:
+    """One stderr note per flag the run ignores, instead of silence.
+
+    ``pooled`` says whether any of ``figures`` can put work on a pool.
+    """
+    notes = [
+        ("--samples", args.samples,
+         [figure for figure in figures if figure not in _SAMPLES_FIGURES],
+         "closed-form or fixed-size figures"),
+        ("--chunk-size", args.chunk_size,
+         [figure for figure in figures
+          if figure not in _SUPERVISED_FIGURES],
+         "no supervised chunks"),
+        ("--workers", args.workers, [] if pooled else figures,
+         "nothing in this run uses a worker pool"),
+    ]
+    for flag, value, ignored_by, reason in notes:
+        if value is not None and ignored_by:
+            print(f"note: {flag} does not apply to "
+                  f"{', '.join(ignored_by)} ({reason})", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -142,6 +153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.figure == "claims":
+        _note_inapplicable(args, ["claims"], pooled=False)
         n_samples = args.samples or (500 if args.quick else 4000)
         report = claims.evaluate_all(n_samples=n_samples, seed=args.seed)
         for claim, value in report.items():
@@ -156,14 +168,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if figure not in REGISTRY:
             print(f"unknown figure {figure!r}; try 'list'", file=sys.stderr)
             return 2
-    _note_inapplicable_samples(args, figures)
+    pooled = any(_accepts(figure, "policy") for figure in figures)
+    _note_inapplicable(args, figures, pooled)
 
     summary: Optional[List[str]] = None
-    if args.figure == "all" or args.workers is not None:
-        # `all`, and one figure given --workers, run on one suite pool
-        # for the whole invocation: the only pool the CLI opens.
-        # Per-figure kwargs are exactly the in-process ones, so outputs
-        # stay bit-identical to an in-process run.
+    if args.figure == "all" or (args.workers is not None and pooled):
+        # `all`, and one figure given --workers that can use a pool,
+        # run on one suite pool for the whole invocation: the only pool
+        # the CLI opens.  Per-figure kwargs are exactly the in-process
+        # ones, so outputs stay bit-identical to an in-process run.
         suite = run_suite(
             figures,
             {figure: _kwargs_for(figure, args) for figure in figures},

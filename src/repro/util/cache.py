@@ -142,19 +142,25 @@ def atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray],
     the same ``<site>.write`` / ``<site>.replace`` fault-injection
     boundaries around their payloads.
 
+    Members are stored, not deflated (``np.savez``): deflating float
+    arrays took over ten times as long as storing them, for files about
+    a third the size (see ``docs/resilience.md``).  ``np.load`` reads
+    stored and deflated members alike, so deflated entries written by
+    earlier versions still load.
+
     An error raised while an interrupt (``KeyboardInterrupt``,
     ``ResumableInterrupt``) unwinds gives way to the interrupt, so
     callers flush and exit resumable rather than fatal.  The case that
-    occurs: an interrupt landing while ``np.savez_compressed`` has a zip
-    entry open makes numpy's cleanup ``ZipFile.close()`` raise
-    ``ValueError`` over it.
+    occurs: an interrupt landing while ``np.savez`` has a zip entry
+    open makes numpy's cleanup ``ZipFile.close()`` raise ``ValueError``
+    over it.
     """
     tmp_path = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         iofaults.trip_write(f"{site}.write", tmp_path)
         # Streaming into the tmp half of an atomic publish.
         with open(tmp_path, "wb") as handle:  # repro-lint: disable=RPR306
-            np.savez_compressed(handle, **dict(arrays))
+            np.savez(handle, **dict(arrays))
         iofaults.checked_replace(f"{site}.replace", tmp_path, path)
     except Exception as exc:
         if exc.__context__ is not None \

@@ -135,3 +135,24 @@ class TestMain:
         assert (tmp_path / "pooled.json").read_bytes() \
             == (tmp_path / "inline.json").read_bytes()
         assert "== suite:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,flags", [
+        pytest.param(argv, flags, id=" ".join(argv + flags))
+        for argv, flags in [
+            (["claims", "--quick", "--samples", "100"],
+             ["--workers", "2", "--chunk-size", "10"]),
+            (["fig3", "--quick"], ["--workers", "2"]),
+            (["fig3", "--quick"], ["--chunk-size", "10"]),
+        ]])
+    def test_inapplicable_flags_are_noted_and_open_no_pool(
+            self, argv, flags, capsys, pools_opened):
+        ignored_by = argv[0]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + flags) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        for flag in flags[::2]:
+            assert f"note: {flag} does not apply to {ignored_by}" \
+                in captured.err
+        assert pools_opened == []

@@ -9,8 +9,10 @@ last-ulp trig/hypot rounding); case fractions must match exactly.
 
 Chunked runs re-seed per chunk, so their reference is the scalar engine
 run chunk-by-chunk on the same spawned seeds.  The pool must never
-change results: an in-process run and one on a 4-worker ``SuitePool``
-in the policy must be bit-identical.
+change results: a chunked in-process run and the same run on a
+4-worker ``SuitePool`` in the policy must be bit-identical.  An
+unchunked run is one chunk, which never reaches a pool, so the
+draw-for-draw checks call the engines in-process.
 """
 
 import json
@@ -33,8 +35,6 @@ from repro.util.cache import ResultCache, array_digest
 from tests.conftest import run_pooled
 
 RTOL = 1e-9
-
-N_WORKERS = [1, 4]
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,10 @@ class TestChunkHelpers:
 
 
 class TestTwoReceiverScenariosEquivalence:
-    @pytest.mark.parametrize("n_workers", N_WORKERS)
-    def test_matches_scalar_draw_for_draw(self, config, n_workers):
+    def test_matches_scalar_draw_for_draw(self, config):
         gains_ref, fractions_ref = two_receiver_scenarios_scalar(config,
                                                                  seed=42)
-        gains, fractions = run_pooled(n_workers, two_receiver_scenarios,
-                                      config, seed=42)
+        gains, fractions = two_receiver_scenarios(config, seed=42)
         np.testing.assert_allclose(gains, gains_ref, rtol=RTOL)
         assert fractions == fractions_ref
 
@@ -98,11 +96,9 @@ class TestTwoReceiverScenariosEquivalence:
 
 
 class TestOneReceiverTechniqueEquivalence:
-    @pytest.mark.parametrize("n_workers", N_WORKERS)
-    def test_matches_scalar_draw_for_draw(self, config, n_workers):
+    def test_matches_scalar_draw_for_draw(self, config):
         ref = one_receiver_technique_gains_scalar(config, seed=43)
-        out = run_pooled(n_workers, one_receiver_technique_gains, config,
-                         seed=43)
+        out = one_receiver_technique_gains(config, seed=43)
         assert set(out) == set(ref)
         for technique in ref:
             np.testing.assert_allclose(out[technique], ref[technique],
@@ -118,11 +114,9 @@ class TestOneReceiverTechniqueEquivalence:
 
 
 class TestTwoReceiverTechniqueEquivalence:
-    @pytest.mark.parametrize("n_workers", N_WORKERS)
-    def test_matches_scalar_draw_for_draw(self, config, n_workers):
+    def test_matches_scalar_draw_for_draw(self, config):
         ref = two_receiver_technique_gains_scalar(config, seed=44)
-        out = run_pooled(n_workers, two_receiver_technique_gains, config,
-                         seed=44)
+        out = two_receiver_technique_gains(config, seed=44)
         assert set(out) == set(ref)
         for technique in ref:
             np.testing.assert_allclose(out[technique], ref[technique],

@@ -271,8 +271,54 @@ class TestResultCache:
         assert cache.root == tmp_path
 
 
+class TestPayloadFormat:
+    """Entries are stored npz; deflated ones from earlier versions load."""
+
+    def test_members_are_stored_not_deflated(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(KEY, {"gains": np.linspace(1.0, 2.0, 17),
+                        "flags": np.array([True, False, True])})
+        (entry,) = tmp_path.glob("*.npz")
+        with zipfile.ZipFile(entry) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_STORED}
+
+    def test_deflated_entry_loads_as_a_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        arrays = {"gains": np.linspace(1.0, 2.0, 17),
+                  "codes": np.arange(9, dtype=np.uint8)}
+        cache.put(KEY, arrays)
+        (entry,) = tmp_path.glob("*.npz")
+        np.savez_compressed(entry, **arrays)  # as earlier versions wrote
+        with zipfile.ZipFile(entry) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+        loaded = cache.get(KEY)
+        assert loaded is not None
+        for name in arrays:
+            assert np.array_equal(loaded[name], arrays[name])
+            assert loaded[name].dtype == arrays[name].dtype
+        assert cache.quarantined == 0
+        assert not (tmp_path / "corrupt").exists()
+
+    def test_flipped_byte_is_a_miss_and_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        arrays = {"x": np.arange(64.0)}
+        cache.put(KEY, arrays)
+        (entry,) = tmp_path.glob("*.npz")
+        payload = bytearray(entry.read_bytes())
+        start = payload.find(arrays["x"].tobytes())  # stored verbatim
+        assert start >= 0
+        payload[start + 100] ^= 0x01
+        entry.write_bytes(bytes(payload))
+        assert cache.get(KEY) is None
+        assert cache.quarantined == 1
+        assert not entry.exists()
+        assert list((tmp_path / "corrupt").glob(f"{entry.stem}.*.npz"))
+
+
 class TestInterruptedWrite:
-    """An interrupt inside ``np.savez_compressed`` stays an interrupt."""
+    """An interrupt inside ``np.savez`` stays an interrupt."""
 
     def test_checkpoint_put_reraises_interrupt(self, tmp_path,
                                                interrupt_in_savez):

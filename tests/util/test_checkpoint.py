@@ -1,6 +1,7 @@
 """CheckpointStore: atomic chunk persistence, integrity, quarantine."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -129,3 +130,47 @@ class TestIntegrity:
         store = CheckpointStore(blocker / "sub", RUN_KEY, n_chunks=1)
         store.put_chunk(0, {"x": np.ones(2)})  # must not raise
         assert store.get_chunk(0) is None
+
+
+class TestPayloadFormat:
+    """Chunks are stored npz; deflated ones from earlier versions load."""
+
+    def test_members_are_stored_not_deflated(self, store):
+        store.put_chunk(0, {"gains": np.linspace(0.0, 1.0, 50),
+                            "codes": np.arange(50, dtype=np.uint8)})
+        data_path, _ = store._chunk_paths(0)
+        with zipfile.ZipFile(data_path) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_STORED}
+
+    def test_deflated_chunk_loads_as_a_hit(self, store):
+        arrays = {"gains": np.linspace(0.0, 1.0, 50),
+                  "codes": np.arange(50, dtype=np.uint8)}
+        store.put_chunk(1, arrays)
+        data_path, _ = store._chunk_paths(1)
+        np.savez_compressed(data_path, **arrays)  # as earlier versions wrote
+        with zipfile.ZipFile(data_path) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+        loaded = store.get_chunk(1)
+        assert loaded is not None
+        for name in arrays:
+            assert np.array_equal(loaded[name], arrays[name])
+            assert loaded[name].dtype == arrays[name].dtype
+        assert store.quarantined == 0
+        assert not (store.run_dir / "corrupt").exists()
+
+    def test_flipped_byte_is_a_miss_and_quarantined(self, store):
+        arrays = {"x": np.arange(64.0)}
+        store.put_chunk(0, arrays)
+        data_path, _ = store._chunk_paths(0)
+        payload = bytearray(data_path.read_bytes())
+        start = payload.find(arrays["x"].tobytes())  # stored verbatim
+        assert start >= 0
+        payload[start + 100] ^= 0x01
+        data_path.write_bytes(bytes(payload))
+        assert store.get_chunk(0) is None
+        assert store.quarantined == 1
+        assert 0 not in store.completed_chunks()
+        assert list((store.run_dir / "corrupt").glob(
+            f"{data_path.stem}.*.npz"))
