@@ -19,6 +19,7 @@ import numpy as np
 from conftest import emit, run_once
 
 from repro.experiments import fig6, fig7, fig11, fig13, fig14
+from repro.experiments.runner import ExecutionPolicy
 from repro.experiments.suite import run_suite
 from repro.experiments.transport import TransportPolicy, active_segments
 
@@ -77,7 +78,8 @@ def test_suite_speedup_over_sequential_baseline(benchmark):
     suite = run_once(
         benchmark,
         lambda: run_suite(figures, kwargs, n_workers=workers,
-                          transport=TransportPolicy(min_bytes=1)))
+                          policy=ExecutionPolicy(
+                              transport=TransportPolicy(min_bytes=1))))
     suite_s = suite.wall_s
     speedup = baseline_s / suite_s
     runs = suite.runs()

@@ -42,8 +42,8 @@ Every recovery path is testable via the deterministic
 randomness).
 
 Pooled chunks always run on a :class:`SuitePool`: one persistent
-``ProcessPoolExecutor`` fed by a dispatcher thread from fair
-per-engine lanes, opened and closed by its caller.  A supervisor pools
+``ProcessPoolExecutor`` whose own FIFO queue takes every chunk as it is
+submitted, opened and closed by its caller.  A supervisor pools
 only when :attr:`ExecutionPolicy.pool` holds such a pool (the suite
 engine, :mod:`repro.experiments.suite`, shares one across figures) and
 more than one chunk is pending; otherwise it runs its chunks
@@ -59,16 +59,14 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from collections import OrderedDict, deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 InvalidStateError, ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from threading import Condition, RLock, Thread
-from typing import (Callable, Deque, Dict, List, Mapping, Optional, Tuple,
-                    Union)
+from threading import Lock
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -222,10 +220,10 @@ class ExecutionPolicy:
     ``watchdog`` supervises pooled rounds for hung workers.
 
     ``pool`` plugs in a :class:`SuitePool` owned by the caller (the
-    suite engine's): pooled rounds then submit chunks to that pool's
-    per-engine lane, and a broken round asks it to rebuild.  Without
-    one, every chunk runs in-process.  ``transport`` opts pooled chunk
-    results into the shared-memory transport
+    suite engine's): pooled rounds then submit chunks to that pool,
+    labelled with the engine name, and a broken round asks it to
+    rebuild.  Without one, every chunk runs in-process.  ``transport``
+    opts pooled chunk results into the shared-memory transport
     (:mod:`repro.experiments.transport`); ``transport_stats`` is the
     parent-side byte counter the suite summary reads.  Neither knob
     ever changes results — chunks stay pure functions of
@@ -368,62 +366,8 @@ def default_suite_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-class LaneQueue:
-    """Fair round-robin queue of tasks keyed by lane name.
-
-    ``pop`` serves one task from the least-recently-served non-empty
-    lane, so a figure enqueueing hundreds of chunks cannot starve a
-    figure with three.  Not thread-safe on its own — :class:`SuitePool`
-    guards it with its condition lock.
-    """
-
-    def __init__(self) -> None:
-        self._lanes: "OrderedDict[str, Deque[object]]" = OrderedDict()
-
-    def push(self, lane: str, item: object) -> None:
-        self._lanes.setdefault(lane, deque()).append(item)
-
-    def pop(self) -> object:
-        """The next task in round-robin order; raises ``IndexError`` empty."""
-        for lane in list(self._lanes):
-            queue = self._lanes[lane]
-            if not queue:
-                del self._lanes[lane]
-                continue
-            item = queue.popleft()
-            # Rotate the served lane to the back so siblings go next.
-            self._lanes.move_to_end(lane)
-            if not queue:
-                del self._lanes[lane]
-            return item
-        raise IndexError("pop from empty LaneQueue")
-
-    def __len__(self) -> int:
-        return sum(len(queue) for queue in self._lanes.values())
-
-    def lanes(self) -> List[str]:
-        """Non-empty lane names, current round-robin order."""
-        return [lane for lane, queue in self._lanes.items() if queue]
-
-
-class _SuiteTask:
-    """One submitted chunk: the caller's proxy future plus its work."""
-
-    __slots__ = ("proxy", "fn", "args", "lane", "abandoned")
-
-    def __init__(self, proxy: Future, fn: Callable[..., object],
-                 args: Tuple[object, ...], lane: str) -> None:
-        self.proxy = proxy
-        self.fn = fn
-        self.args = args
-        self.lane = lane
-        self.abandoned = False
-
-
 def _fail_proxy(proxy: Future, exc: BaseException) -> None:
-    """Deliver a failure unless the proxy already settled."""
-    if proxy.cancelled():
-        return
+    """Deliver a failure unless the proxy already settled or was cancelled."""
     try:
         proxy.set_exception(exc)
     except InvalidStateError:
@@ -431,7 +375,7 @@ def _fail_proxy(proxy: Future, exc: BaseException) -> None:
 
 
 class _SuiteRound:
-    """One supervisor round's view of the pool (one lane).
+    """One supervisor round's view of the pool.
 
     ``submit`` chunks, declare the round ``broken`` to request a pool
     rebuild, ``abandon`` leftovers so their transported results are
@@ -457,18 +401,19 @@ class SuitePool:
     """A persistent supervised worker pool, owned by whoever opens it.
 
     Supervisors reach it through :attr:`ExecutionPolicy.pool` and
-    submit chunks through per-engine lanes
-    (:meth:`open_round`); a dispatcher thread drains the fair
-    round-robin queue into one long-lived ``ProcessPoolExecutor``,
-    throttled to ``2 x workers`` in-flight chunks so no single figure
-    floods the pool.  Callers receive proxy futures with ordinary
-    ``concurrent.futures`` semantics, so the supervisor's drain loop
-    works on them untouched.
+    submit chunks through :meth:`open_round`; each chunk goes straight
+    to one long-lived ``ProcessPoolExecutor``, whose FIFO queue is the
+    only queue.  A round's lane is only the label its chunks are
+    counted under in ``stats()["lanes"]``.  Callers receive proxy
+    futures with ordinary ``concurrent.futures`` semantics, so the
+    supervisor's drain loop works on them untouched.
 
-    An underlying chunk cancelled by a rebuild surfaces on its proxy
-    as ``BrokenProcessPool`` — *never* ``CancelledError``, which is a
-    ``BaseException`` and would sail past the supervisor's
-    ``except BrokenExecutor`` recovery path.
+    A chunk cancelled before it started (by a rebuild or by
+    :meth:`close`) surfaces on its proxy as ``BrokenProcessPool``,
+    never ``CancelledError``.  ``CancelledError`` is an ``Exception``,
+    so the drain loop would count it as a failed chunk, spend the
+    chunk's retry budget and resubmit it, instead of raising
+    :class:`_PoolBroken` and rebuilding.
     """
 
     def __init__(self, n_workers: Optional[int] = None) -> None:
@@ -476,10 +421,9 @@ class SuitePool:
             else default_suite_workers()
         if self.workers < 1:
             raise ValueError("n_workers must be positive")
-        self.max_inflight = 2 * self.workers
-        self._cond = Condition(RLock())
-        self._queue = LaneQueue()
-        self._inflight = 0
+        self._lock = Lock()
+        #: Proxy -> executor future, for every chunk not yet settled.
+        self._pending: Dict[Future, Future] = {}
         self._generation = 0
         self._closed = False
         self._interrupt: Optional[BaseException] = None
@@ -494,9 +438,6 @@ class SuitePool:
         # a many-threaded parent mid-run is the risky path.
         wait([self._executor.submit(_warmup, _WARMUP_SLEEP_S)
               for _ in range(self.workers)], timeout=60.0)
-        self._dispatcher = Thread(target=self._dispatch_loop,
-                                  name="suite-dispatcher", daemon=True)
-        self._dispatcher.start()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -520,47 +461,44 @@ class SuitePool:
         finish (their results are delivered or released as usual), then
         every executor this pool ever owned is joined.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._cond.notify_all()
-        self._dispatcher.join(timeout=60.0)
-        with self._cond:
             executors = [self._executor] + self._retired
             self._retired = []
         for executor in executors:
-            executor.shutdown(wait=True)
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def interrupt(self, exc: BaseException) -> None:
-        """Fail every queued chunk with ``exc`` (operator interrupt).
+        """Fail every chunk that has not started with ``exc``.
 
         In-flight chunks are left to finish; each figure's supervisor
         sees ``exc`` on its next proxy result, flushes its completed
         chunks to the checkpoint store, and unwinds resumably.
         """
-        with self._cond:
+        with self._lock:
             self._interrupt = exc
-            while len(self._queue):
-                task = self._queue.pop()
-                assert isinstance(task, _SuiteTask)
-                _fail_proxy(task.proxy, exc)
-            self._cond.notify_all()
+            queued = list(self._pending.values())
+        for underlying in queued:
+            underlying.cancel()
 
     # -- supervisor-facing API ---------------------------------------------
 
     def open_round(self, lane: str) -> _SuiteRound:
-        """A round handle whose submissions ride the given lane."""
-        with self._cond:
+        """A round handle whose chunks are counted under ``lane``."""
+        with self._lock:
             return _SuiteRound(self, lane, self._generation)
 
     def stats(self) -> Dict[str, object]:
         """Utilization snapshot for the suite summary.
 
         ``busy_s`` sums the worker-side run time of every chunk that
-        returned, so queue wait never counts as work.
+        returned, so queue wait never counts as work.  ``tasks_done``
+        and ``lanes`` count the chunks the workers settled; a chunk
+        cancelled before it started is not counted.
         """
-        with self._cond:
+        with self._lock:
             wall_s = time.monotonic() - self._created_at
             busy_s = self._busy_s
             capacity = wall_s * self.workers
@@ -579,39 +517,46 @@ class SuitePool:
     def _submit(self, lane: str, fn: Callable[..., object],
                 args: Tuple[object, ...]) -> Future:
         proxy: Future = Future()
-        task = _SuiteTask(proxy, fn, args, lane)
-        proxy._suite_task = task  # type: ignore[attr-defined]
-        with self._cond:
+        with self._lock:
             if self._interrupt is not None:
                 _fail_proxy(proxy, self._interrupt)
-            elif self._closed:
+                return proxy
+            if self._closed:
                 _fail_proxy(proxy, BrokenProcessPool("suite pool closed"))
-            else:
-                self._queue.push(lane, task)
-                self._cond.notify_all()
+                return proxy
+            try:
+                underlying = self._executor.submit(_timed, fn, args)
+            except RuntimeError as exc:  # a broken or shut-down executor
+                _fail_proxy(proxy, BrokenProcessPool(
+                    str(exc) or type(exc).__name__))
+                return proxy
+            self._pending[proxy] = underlying
+        # Outside the lock: a future that is already done runs the
+        # callback here, and the callback takes the lock.
+        underlying.add_done_callback(partial(self._on_done, proxy, lane))
         return proxy
 
     def _abandon(self, futures: List[Future]) -> None:
         """Disown proxies whose results nobody will consume."""
-        with self._cond:
-            for future in futures:
-                task = getattr(future, "_suite_task", None)
-                if isinstance(task, _SuiteTask):
-                    task.abandoned = True
-                future.cancel()
-                if future.done() and not future.cancelled() \
-                        and future.exception() is None:
-                    release_chunk(future.result())
+        with self._lock:
+            underlying = [self._pending.get(future) for future in futures]
+        for future, chunk in zip(futures, underlying):
+            future.cancel()
+            if chunk is not None:
+                chunk.cancel()
+            if future.done() and not future.cancelled() \
+                    and future.exception() is None:
+                release_chunk(future.result())
 
     def _rebuild(self, generation: int) -> None:
         """Replace the executor, once per generation.
 
-        Every lane whose round broke against the same executor calls
-        this with the same generation; the first call swaps the
+        Every round that broke against the same executor calls this
+        with the same generation; the first call swaps the
         executor, the rest are no-ops against the already-bumped
         counter.
         """
-        with self._cond:
+        with self._lock:
             if generation != self._generation or self._closed:
                 return
             old = self._executor
@@ -621,64 +566,30 @@ class SuitePool:
             self._retired.append(old)
         old.shutdown(wait=False, cancel_futures=True)
 
-    def _ready_locked(self) -> bool:
-        return len(self._queue) > 0 and self._inflight < self.max_inflight
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and not self._ready_locked():
-                    self._cond.wait()
-                if self._closed:
-                    while len(self._queue):
-                        task = self._queue.pop()
-                        assert isinstance(task, _SuiteTask)
-                        _fail_proxy(task.proxy,
-                                    BrokenProcessPool("suite pool closed"))
-                    return
-                task = self._queue.pop()
-                assert isinstance(task, _SuiteTask)
-                if not task.proxy.set_running_or_notify_cancel():
-                    continue  # cancelled while queued
-                self._inflight += 1
-                executor = self._executor
-            try:
-                underlying = executor.submit(_timed, task.fn, task.args)
-            except BaseException as exc:  # broken/shut-down executor
-                with self._cond:
-                    self._inflight -= 1
-                    _fail_proxy(task.proxy, BrokenProcessPool(
-                        str(exc) or type(exc).__name__))
-                    self._cond.notify_all()
-                continue
-            underlying.add_done_callback(partial(self._on_done, task))
-
-    def _on_done(self, task: _SuiteTask, underlying: Future) -> None:
-        with self._cond:
-            self._inflight -= 1
-            self._tasks_done += 1
-            self._lane_done[task.lane] = self._lane_done.get(task.lane, 0) + 1
-            if underlying.cancelled():
-                # Rebuild cancelled it while queued on the old executor.
-                _fail_proxy(task.proxy, BrokenProcessPool(
-                    "shared pool rebuilt while the chunk was queued"))
-            else:
-                exc = underlying.exception()
-                if exc is not None:
-                    _fail_proxy(task.proxy, exc)
-                else:
-                    result, busy_s = underlying.result()
-                    self._busy_s += busy_s
-                    delivered = False
-                    if not task.abandoned:
-                        try:
-                            task.proxy.set_result(result)
-                            delivered = True
-                        except InvalidStateError:
-                            pass
-                    if not delivered:
-                        release_chunk(result)
-            self._cond.notify_all()
+    def _on_done(self, proxy: Future, lane: str, underlying: Future) -> None:
+        cancelled = underlying.cancelled()
+        with self._lock:
+            del self._pending[proxy]
+            interrupt = self._interrupt
+            if not cancelled:
+                self._tasks_done += 1
+                self._lane_done[lane] = self._lane_done.get(lane, 0) + 1
+        if cancelled:  # before it started: interrupt, rebuild or close
+            _fail_proxy(proxy, interrupt if interrupt is not None else
+                        BrokenProcessPool("suite pool rebuilt or closed "
+                                          "while the chunk was queued"))
+            return
+        failure = underlying.exception()
+        if failure is not None:
+            _fail_proxy(proxy, failure)
+            return
+        result, busy_s = underlying.result()
+        with self._lock:
+            self._busy_s += busy_s
+        try:
+            proxy.set_result(result)
+        except InvalidStateError:  # abandoned: nobody will decode it
+            release_chunk(result)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +692,7 @@ class _Supervisor:
                     return  # the inline pass finishes the sweep
 
     def _pool_round(self, pool: SuitePool) -> None:
-        """One round on the pool's lane: submit all pending chunks, drain.
+        """One round on the pool: submit all pending chunks, drain.
 
         Raises :class:`_PoolBroken` when the pool dies (for real, or by
         injection) so the caller can rebuild with only missing chunks.

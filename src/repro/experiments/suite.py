@@ -13,9 +13,11 @@ runs them concurrently over **one shared pool**:
   supervisor invariant (retries, watchdog, pool-rebuild escalation,
   checkpoint/resume, worker-count-invariant cache keys) holds
   unchanged — only *where* chunks execute moves;
-* the pool's fair round-robin over per-engine lanes interleaves chunks
-  from a slow figure (fig13 trace eval, fig7 architecture sweeps) with
-  fast ones instead of serializing them.
+* every figure submits its chunks straight to the pool's one
+  ``ProcessPoolExecutor``, whose FIFO queue runs them in submission
+  order; the figure threads interleave their submissions, so a slow
+  figure (fig13 trace eval) runs beside fast ones instead of after
+  them.
 
 Determinism: a chunk result is a pure function of
 ``(config, chunk seed, chunk size)``, and the suite never alters a
@@ -25,15 +27,20 @@ per-figure sequential runs for any worker count or interleaving
 (pinned by the golden tests in ``tests/experiments/test_suite.py``).
 
 Transport: suite runs enable the shared-memory chunk transport
-(:mod:`repro.experiments.transport`) by default, so large fig13/fig7
-payloads skip the pickle round-trip; a :class:`TransportStats` counter
-feeds the suite summary (per-figure wall time, pool utilization,
-transport bytes).
+(:mod:`repro.experiments.transport`) with the caller's
+``policy.transport``, else the default :class:`TransportPolicy`, so a
+chunk result of 64 KiB or more skips the pickle round-trip.  No chunk
+of a CLI run is that large: paper-scale ``all`` pickles every chunk.
+A :class:`TransportStats` counter feeds the suite summary (per-figure
+wall time, pool utilization, transport bytes).
 
 Failure semantics: a broken round (``BrokenProcessPool``, watchdog
 trip, injected break) asks the pool to rebuild its executor once for
-*all* lanes — generation counters make concurrent rebuild requests
-idempotent.  Operator interrupts fail every queued chunk with the
+every figure — generation counters make concurrent rebuild requests
+idempotent.  The rebuild fails every chunk still queued on the old
+executor with ``BrokenProcessPool``, whichever figure it belongs to,
+and each such figure resubmits its missing chunks to the new one.
+Operator interrupts fail every chunk that has not started with the
 interrupt, so each figure's supervisor flushes completed chunks to its
 checkpoint store and the run exits "resumable".  Abandoned
 shared-memory results are released on every path (see
@@ -139,7 +146,6 @@ def run_suite(figures: Optional[List[str]] = None,
               = None, *,
               n_workers: Optional[int] = None,
               policy: Optional[ExecutionPolicy] = None,
-              transport: Optional[TransportPolicy] = None,
               pool: Optional[SuitePool] = None) -> SuiteResult:
     """Run a set of figures concurrently over one shared pool.
 
@@ -147,9 +153,11 @@ def run_suite(figures: Optional[List[str]] = None,
     dispatch point with exactly the caller's kwargs — chunk layouts and
     seeds are untouched, so per-figure results are bit-identical to
     calling ``compute()`` directly with the same kwargs.  Supervised
-    figures additionally receive an :class:`ExecutionPolicy` carrying
-    the shared pool and the shared-memory transport (unless the caller
-    already pinned a ``policy`` kwarg for that figure).
+    figures additionally receive ``policy`` (default
+    :meth:`ExecutionPolicy.from_env`) carrying the shared pool and the
+    shared-memory transport: ``policy.transport`` when set, else the
+    default :class:`TransportPolicy` (unless the caller already pinned
+    a ``policy`` kwarg for that figure).
 
     Figure errors are collected so every figure gets to finish; the
     first failure in paper order is re-raised after all threads settle.
@@ -169,7 +177,9 @@ def run_suite(figures: Optional[List[str]] = None,
     base_policy = policy if policy is not None else ExecutionPolicy.from_env()
     suite_policy = replace(
         base_policy, pool=suite_pool,
-        transport=transport if transport is not None else TransportPolicy(),
+        transport=(base_policy.transport
+                   if base_policy.transport is not None
+                   else TransportPolicy()),
         transport_stats=stats)
 
     outcomes = {figure: FigureOutcome(figure, None, 0.0)

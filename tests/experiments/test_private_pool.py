@@ -4,8 +4,8 @@
 hands it to the call through ``ExecutionPolicy.pool`` and closes it
 when the call ends.  An operator interrupt must stop such a run
 promptly instead of draining every queued chunk first, and every run,
-whatever its outcome, must leave no worker process, dispatcher thread
-or shared-memory segment behind once the pool is closed.
+whatever its outcome, must leave no worker process, thread or
+shared-memory segment behind once the pool is closed.
 """
 
 import _thread
@@ -61,10 +61,15 @@ def _serial():
                        chunk_size=50, policy=ExecutionPolicy())
 
 
-def _assert_nothing_left(segments_before):
+def _snapshot():
+    """Live threads and shared-memory segments before a run."""
+    return set(threading.enumerate()), active_segments()
+
+
+def _assert_nothing_left(before):
+    threads_before, segments_before = before
     assert multiprocessing.active_children() == []
-    assert not [thread for thread in threading.enumerate()
-                if thread.name == "suite-dispatcher"]
+    assert set(threading.enumerate()) <= threads_before
     assert active_segments() == segments_before
 
 
@@ -72,7 +77,7 @@ def test_interrupt_stops_a_private_pooled_run(tmp_path):
     # 40 chunks x 0.2 s on two workers is a 4 s sweep; the interrupt
     # lands 0.8 s in, so a run that drains every queued chunk before
     # surfacing it leaves 40 markers.
-    before = active_segments()
+    before = _snapshot()
     timer = threading.Timer(0.8, _thread.interrupt_main)
     timer.start()
     try:
@@ -90,13 +95,13 @@ def test_interrupt_stops_a_private_pooled_run(tmp_path):
 
 class TestCleanup:
     def test_successful_run(self):
-        before = active_segments()
+        before = _snapshot()
         out = _run(ExecutionPolicy(transport=_SHM))
         assert np.array_equal(out["x"], _serial()["x"])
         _assert_nothing_left(before)
 
     def test_degraded_run(self):
-        before = active_segments()
+        before = _snapshot()
         policy = ExecutionPolicy(
             transport=_SHM, max_pool_rebuilds=1,
             faults=FaultInjector(pool_break_rounds={0, 1, 2}))
@@ -106,7 +111,7 @@ class TestCleanup:
         _assert_nothing_left(before)
 
     def test_exhausted_retries(self):
-        before = active_segments()
+        before = _snapshot()
         policy = ExecutionPolicy(transport=_SHM,
                                  faults=always_failing("private", 3))
         with pytest.raises(ChunkExecutionError):

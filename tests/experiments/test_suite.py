@@ -1,4 +1,4 @@
-"""Suite engine tests: fairness, pool lifecycle, golden bit-identity.
+"""Suite engine tests: pool lifecycle, golden bit-identity.
 
 The load-bearing guarantee: running figures through the shared suite
 pool yields results bit-identical to calling each figure's
@@ -8,16 +8,20 @@ chunk size, or interleaving.  Chunks are pure functions of
 figure's chunk layout, so only *where* chunks execute moves.
 """
 
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments import fig6, fig11, fig12, fig13
-from repro.experiments.runner import LaneQueue, SuitePool
+from repro.experiments.runner import ExecutionPolicy, SuitePool, run_chunked
 from repro.experiments.suite import run_suite
 from repro.experiments.transport import TransportPolicy, active_segments
+from repro.util.faults import RetryPolicy
 
 
 def _square(x):
@@ -28,32 +32,20 @@ def _nap(seconds):
     time.sleep(seconds)
 
 
-class TestLaneQueue:
-    def test_round_robin_across_lanes(self):
-        queue = LaneQueue()
-        for item in ("a1", "a2", "a3"):
-            queue.push("a", item)
-        for item in ("b1", "b2"):
-            queue.push("b", item)
-        queue.push("c", "c1")
-        order = [queue.pop() for _ in range(len(queue))]
-        assert order == ["a1", "b1", "c1", "a2", "b2", "a3"]
+def _mark_and_nap(seconds, marker):
+    """Leaves ``marker`` behind once a worker starts the chunk."""
+    Path(marker).touch()
+    time.sleep(seconds)
 
-    def test_pop_empty_raises(self):
-        queue = LaneQueue()
-        with pytest.raises(IndexError):
-            queue.pop()
 
-    def test_len_and_lanes(self):
-        queue = LaneQueue()
-        assert len(queue) == 0 and queue.lanes() == []
-        queue.push("x", 1)
-        queue.push("y", 2)
-        assert len(queue) == 2
-        assert set(queue.lanes()) == {"x", "y"}
-        queue.pop()
-        queue.pop()
-        assert len(queue) == 0 and queue.lanes() == []
+@dataclass(frozen=True)
+class _NapCfg:
+    n_samples: int = 8
+
+
+def _nap_chunk(config, seed, n):
+    time.sleep(0.25)
+    return {"n": np.full(n, n)}
 
 
 class TestSuitePool:
@@ -104,13 +96,83 @@ class TestSuitePool:
             with pytest.raises(_Stop):
                 future.result(timeout=60)
 
+    def test_interrupt_fails_chunks_queued_behind_a_busy_worker(
+            self, tmp_path):
+        class _Stop(BaseException):
+            pass
+
+        stop = _Stop()
+        with SuitePool(1) as pool:
+            handle = pool.open_round("lane")
+            futures = [handle.submit(_mark_and_nap, 0.3, tmp_path / str(i))
+                       for i in range(6)]
+            pool.interrupt(stop)
+            outcomes = [future.exception(timeout=60) for future in futures]
+        # close() joined the worker, so every chunk that ran left its
+        # marker; a chunk that failed with the interrupt never started.
+        assert outcomes[-1] is stop
+        assert all(outcome is None or outcome is stop
+                   for outcome in outcomes)
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == [str(i) for i, outcome in enumerate(outcomes)
+                if outcome is None]
+
+    def test_close_fails_queued_chunks_with_broken_pool(self):
+        # exception() raises CancelledError on a cancelled proxy.
+        pool = SuitePool(1)
+        handle = pool.open_round("lane")
+        futures = [handle.submit(_nap, 0.3) for _ in range(6)]
+        pool.close()
+        outcomes = [future.exception(timeout=60) for future in futures]
+        assert isinstance(outcomes[-1], BrokenProcessPool)
+        assert all(outcome is None or isinstance(outcome, BrokenProcessPool)
+                   for outcome in outcomes)
+
+    def test_rebuild_fails_queued_chunks_with_broken_pool(self):
+        with SuitePool(1) as pool:
+            handle = pool.open_round("lane")
+            futures = [handle.submit(_nap, 0.3) for _ in range(6)]
+            handle.broken()
+            outcomes = [future.exception(timeout=60) for future in futures]
+            assert isinstance(outcomes[-1], BrokenProcessPool)
+            assert all(outcome is None
+                       or isinstance(outcome, BrokenProcessPool)
+                       for outcome in outcomes)
+            fresh = pool.open_round("lane")
+            assert fresh.submit(_square, 3).result(timeout=60) == 9
+
+    def test_rebuild_under_a_running_sweep_spends_no_retries(self):
+        # Another round's rebuild cancels the sweep's queued chunks.  A
+        # sweep allowed one attempt per chunk finishes only if those
+        # chunks come back as a broken pool (rebuild and resubmit), not
+        # as failed chunks (ChunkExecutionError).
+        outcome = {}
+        with SuitePool(1) as pool:
+            policy = ExecutionPolicy(retry=RetryPolicy(max_attempts=1),
+                                     pool=pool)
+            thread = threading.Thread(target=lambda: outcome.update(
+                out=run_chunked("victim", _nap_chunk, _NapCfg(), 5,
+                                code_version=0, chunk_size=1,
+                                policy=policy)))
+            thread.start()
+            deadline = time.monotonic() + 60
+            while pool.stats()["tasks_done"] < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # At most two more chunks have left the executor's queue.
+            assert pool.stats()["tasks_done"] <= 5
+            pool.open_round("breaker").broken()
+            thread.join(timeout=120)
+            assert pool.stats()["rebuilds"] == 1
+        assert np.array_equal(outcome["out"]["n"], np.ones(8))
+
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="n_workers"):
             SuitePool(0)
 
     def test_busy_time_excludes_queue_wait(self):
-        # Two chunks per worker are in flight, so a chunk timed from
-        # dispatch would count its wait in the executor queue as work.
+        # All eight chunks queue in the executor at once, so a chunk
+        # timed from submission would count its queue wait as work.
         with SuitePool(1) as pool:
             handle = pool.open_round("lane")
             for future in [handle.submit(_nap, 0.1) for _ in range(8)]:
@@ -242,8 +304,9 @@ class TestRunSuiteGolden:
         before = active_segments()
         kwargs = {"fig6": {"n_samples": 400, "seed": 2,
                            "chunk_size": 100}}
-        suite = run_suite(["fig6"], kwargs, n_workers=2,
-                          transport=TransportPolicy(min_bytes=1))
+        suite = run_suite(
+            ["fig6"], kwargs, n_workers=2,
+            policy=ExecutionPolicy(transport=TransportPolicy(min_bytes=1)))
         total = suite.transport["shm_chunks"] \
             + suite.transport["pickled_chunks"]
         assert suite.transport["shm_chunks"] > 0
@@ -251,6 +314,16 @@ class TestRunSuiteGolden:
         assert active_segments() == before
         direct = fig6.compute(**kwargs["fig6"])
         _assert_gain_maps_equal(suite.runs()["fig6"].result, direct)
+
+    def test_caller_policy_transport_is_honoured(self):
+        # 3 ranges x 4 chunks, each result well under the default 64 KiB.
+        kwargs = {"fig6": {"n_samples": 4000, "chunk_size": 1000,
+                           "seed": 1}}
+        suite = run_suite(
+            ["fig6"], kwargs, n_workers=2,
+            policy=ExecutionPolicy(transport=TransportPolicy(min_bytes=1)))
+        assert suite.transport["shm_chunks"] == 12
+        assert suite.transport["pickled_chunks"] == 0
 
     def test_summary_lines_cover_pool_and_transport(self):
         suite = run_suite(["fig2"], {"fig2": {"n_points": 5}}, n_workers=1)
