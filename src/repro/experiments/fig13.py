@@ -11,7 +11,8 @@ We run the identical pipeline over the synthetic building trace (see
 DESIGN.md for the substitution argument).
 
 Fast path (``docs/trace_performance.md``): the trace comes from the
-vectorised generator, the busy snapshots run as chunks of the
+vectorised generator (under a ``max_snapshots`` cap, only the blocks
+holding the snapshots it keeps), the busy snapshots run as chunks of the
 supervised indexed runner (retry/backoff, checkpoint/resume, the
 ``REPRO_CACHE_DIR`` result cache, and worker processes when the
 ``policy`` carries a pool), and each snapshot's backlog is costed once
@@ -46,6 +47,7 @@ from repro.util.cache import ResultCache
 from repro.util.cdf import gain_cdf_summary
 from repro.util.rng import SeedLike
 from repro.util.timing import PhaseTimer, maybe_phase
+from repro.util.units import dbm_to_watts
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 
@@ -187,7 +189,10 @@ def compute(trace: Optional[UploadTrace] = None,
     otherwise a synthetic trace is generated from ``trace_config``.
 
     ``max_snapshots`` keeps the first that many busy snapshots (at
-    least 1; ``None`` keeps all).  Snapshot scheduling runs through
+    least 1; ``None`` keeps all); a trace generated from an int or
+    ``SeedSequence`` seed is then resolved only up to the block holding
+    the last of them, while ``meta["trace_duration_s"]`` stays the full
+    trace's.  Snapshot scheduling runs through
     :func:`~repro.experiments.runner.run_indexed`: ``policy`` fault
     handling and pool, checkpoint/resume, and the result cache
     (generated traces with cacheable seeds only) — with results
@@ -198,11 +203,22 @@ def compute(trace: Optional[UploadTrace] = None,
         raise ValueError(
             f"max_snapshots must be at least 1 (or None), got {max_snapshots}")
     generated = trace is None
-    config = None
+    config = token = None
     if generated:
         config = trace_config or UploadTraceConfig()
+        token = seed_cache_token(seed)
         with maybe_phase(timer, "trace_gen"):
-            trace = UploadTraceGenerator(config).generate(seed)
+            generator = UploadTraceGenerator(config)
+            # Under a cap, with a seed that replays, resolve only the
+            # blocks holding the first busy snapshots; the full trace's
+            # span comes from a second pass over the draws.
+            prefix = max_snapshots is not None and token is not None
+            trace = generator.generate(
+                seed, until_busy=max_snapshots if prefix else None)
+            duration_s = (generator.duration_s(seed) if prefix
+                          else trace.duration_s)
+    else:
+        duration_s = trace.duration_s
     snapshots = trace.busy_snapshots(min_clients=2)
     if max_snapshots is not None:
         snapshots = snapshots[:max_snapshots]
@@ -210,20 +226,23 @@ def compute(trace: Optional[UploadTrace] = None,
         raise ValueError("trace has no snapshots with >= 2 clients")
 
     with maybe_phase(timer, "scheduling"):
+        # One array dBm -> W conversion for every client of the run:
+        # each scalar ``obs.rss_w`` pays numpy's per-call overhead.
+        rss_w = iter(np.asarray(dbm_to_watts(
+            [obs.rssi_dbm for snap in snapshots for obs in snap.clients]),
+            dtype=float).tolist())
         batch = _SnapshotBatch(
             backlogs=tuple(
-                tuple((obs.client, obs.rss_w) for obs in snap.clients)
+                tuple((obs.client, next(rss_w)) for obs in snap.clients)
                 for snap in snapshots),
             bandwidth_hz=DEFAULT_BANDWIDTH_HZ,
             packet_bits=packet_bits)
         cache_key = None
-        if generated:
-            token = seed_cache_token(seed)
-            if token is not None:
-                cache_key = {"trace_config": asdict(config),
-                             "seed": token,
-                             "packet_bits": packet_bits,
-                             "max_snapshots": max_snapshots}
+        if token is not None:
+            cache_key = {"trace_config": asdict(config),
+                         "seed": token,
+                         "packet_bits": packet_bits,
+                         "max_snapshots": max_snapshots}
         merged = run_indexed(
             "fig13", _fig13_chunk, batch, len(snapshots),
             code_version=1, cache_key=cache_key,
@@ -240,7 +259,7 @@ def compute(trace: Optional[UploadTrace] = None,
         results["meta"] = {
             "n_snapshots": len(snapshots),
             "building": trace.building,
-            "trace_duration_s": trace.duration_s,
+            "trace_duration_s": duration_s,
         }
     return results
 

@@ -51,6 +51,7 @@ def write_upload_trace(trace: UploadTrace, path: PathLike) -> None:
             "kind": "upload-trace",
             "building": trace.building,
             "snapshot_interval_s": trace.snapshot_interval_s,
+            "count": len(trace),
         }
         fh.write(json.dumps(header) + "\n")
         for snap in trace.snapshots:
@@ -63,7 +64,13 @@ def write_upload_trace(trace: UploadTrace, path: PathLike) -> None:
 
 
 def read_upload_trace(path: PathLike) -> UploadTrace:
-    """Read an upload trace written by :func:`write_upload_trace`."""
+    """Read an upload trace written by :func:`write_upload_trace`.
+
+    Raises ``ValueError`` on a malformed record, on a header without
+    ``building`` or ``snapshot_interval_s``, and on a record count that
+    differs from the header's ``count`` (headers written before it
+    existed carry none and are not checked).
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -73,6 +80,11 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
         if header.get("kind") != "upload-trace":
             raise ValueError(f"{path}: not an upload trace "
                              f"(kind={header.get('kind')!r})")
+        missing = [key for key in ("building", "snapshot_interval_s")
+                   if key not in header]
+        if missing:
+            raise ValueError(f"{path}: trace header lacks "
+                             f"{', '.join(missing)}")
         snapshots = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
@@ -90,6 +102,10 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
             except (KeyError, IndexError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed snapshot "
                                  f"record") from exc
+    count = header.get("count")
+    if count is not None and count != len(snapshots):
+        raise ValueError(f"{path}: header promises {count} snapshots, "
+                         f"found {len(snapshots)}")
     return UploadTrace(
         building=header["building"],
         snapshot_interval_s=float(header["snapshot_interval_s"]),

@@ -22,9 +22,10 @@ input statistically:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,19 +124,23 @@ class UploadTraceGenerator:
 
     def generate(self, seed: SeedLike = None,
                  timer: Optional[PhaseTimer] = None,
-                 progress: Optional[ProgressFn] = None) -> UploadTrace:
-        """Generate the full multi-day trace (vectorised fast path).
+                 progress: Optional[ProgressFn] = None,
+                 until_busy: Optional[int] = None) -> UploadTrace:
+        """Generate the multi-day trace, or its first blocks (fast path).
 
-        The loop over steps only draws: per step, the Poisson client
-        count, the two position blocks and the clients x APs shadowing
-        block, in the order the scalar loop consumes the stream.  Every
-        :data:`RESOLVE_BLOCK_STEPS` steps, one pass resolves the block's
-        clients together — distances, path gain, shadowing, strongest-AP
-        association, dBm conversion and sensitivity clipping — and
-        assembles its snapshots.  The result — snapshot order, client
-        names, every RSSI float — is **bit-identical** to
-        :meth:`generate_scalar` for any seed (pinned in
-        ``tests/traces/test_synthetic.py``).
+        The steps are drawn block by block (:meth:`_draw_blocks`); each
+        block's clients are resolved in one pass — distances, path gain,
+        shadowing, strongest-AP association, dBm conversion and
+        sensitivity clipping — that assembles its snapshots.  The result
+        — snapshot order, client names, every RSSI float — is
+        **bit-identical** to :meth:`generate_scalar` for any seed
+        (pinned in ``tests/traces/test_synthetic.py``).
+
+        ``until_busy`` stops after the block in which the trace reaches
+        that many snapshots with at least 2 clients: the result is then
+        the first whole blocks of the full trace, unchanged (all of it
+        when the trace never gets that busy).  Its ``duration_s`` is the
+        prefix's; :meth:`duration_s` gives the full trace's.
 
         ``timer`` attributes wall-clock to the ``draw`` / ``rss`` /
         ``assemble`` phases; ``progress(done, total)`` is invoked once
@@ -144,7 +149,63 @@ class UploadTraceGenerator:
         rng = make_rng(seed)
         cfg = self.config
         snapshots: List[ApSnapshot] = []
-        names_used = 0
+        names_used = busy = 0
+        n_steps = cfg.n_snapshots
+        for steps, block in self._draw_blocks(rng, timer):
+            if block:
+                resolved = self._resolve_block(block, names_used, timer)
+                snapshots += resolved
+                # Clipped clients still consume a name, as in the scalar
+                # loop.
+                names_used += sum(xs.size for _, xs, _, _ in block)
+                if until_busy is not None:
+                    busy += sum(s.n_clients >= 2 for s in resolved)
+            if progress is not None:
+                for step in steps:
+                    progress(step + 1, n_steps)
+            if until_busy is not None and busy >= until_busy:
+                break
+        return UploadTrace(building=cfg.building,
+                           snapshot_interval_s=cfg.snapshot_interval_s,
+                           snapshots=tuple(snapshots))
+
+    def duration_s(self, seed: SeedLike = None) -> float:
+        """``generate(seed).duration_s``, resolving only the last block.
+
+        The stream is still drawn to its end — the last snapshot can sit
+        in any block — but only the last block that drew clients is
+        resolved.  When it keeps none of them (all below the sensitivity
+        floor), the answer lies in an earlier block, and the full trace
+        is generated from a copy of the starting stream instead.
+        """
+        rng = make_rng(seed)
+        start = copy.deepcopy(rng)
+        last: list = []
+        for _, block in self._draw_blocks(rng):
+            if block:
+                last = block
+        if not last:
+            return 0.0  # no step drew a client: the trace is empty
+        # Client names do not matter here, so the block is resolved as
+        # if it were the first.
+        tail = self._resolve_block(last, 0, None)
+        if not tail:
+            return self.generate(start).duration_s
+        return max(s.timestamp_s for s in tail)
+
+    def _draw_blocks(self, rng: np.random.Generator,
+                     timer: Optional[PhaseTimer] = None,
+                     ) -> Iterator[Tuple[range, list]]:
+        """Yield ``(steps, block)`` per :data:`RESOLVE_BLOCK_STEPS` steps.
+
+        The loop over steps only draws: per step, the Poisson client
+        count, the two position blocks and the clients x APs shadowing
+        block, in the order the scalar loop consumes the stream.
+        ``block`` holds ``(t, xs, ys, shadow_db)`` per step of ``steps``
+        that drew clients.  One block is held at a time: callers resolve
+        or drop it before drawing the next.
+        """
+        cfg = self.config
         n_steps = cfg.n_snapshots
         n_aps = len(self.ap_positions)
         for start in range(0, n_steps, RESOLVE_BLOCK_STEPS):
@@ -168,17 +229,7 @@ class UploadTraceGenerator:
                                             size=(n_active, n_aps))
                                  if cfg.shadowing_sigma_db > 0.0 else None)
                     block.append((t, xs, ys, shadow_db))
-            if block:
-                snapshots += self._resolve_block(block, names_used, timer)
-                # Clipped clients still consume a name, as in the scalar
-                # loop.
-                names_used += sum(xs.size for _, xs, _, _ in block)
-            if progress is not None:
-                for step in steps:
-                    progress(step + 1, n_steps)
-        return UploadTrace(building=cfg.building,
-                           snapshot_interval_s=cfg.snapshot_interval_s,
-                           snapshots=tuple(snapshots))
+            yield steps, block
 
     def _resolve_block(self, block, names_used: int,
                        timer: Optional[PhaseTimer]) -> List[ApSnapshot]:

@@ -18,7 +18,11 @@ from repro.experiments.runner import (
     run_indexed,
 )
 from repro.traces.downlink import DownlinkTraceConfig, DownlinkTraceGenerator
-from repro.traces.synthetic import UploadTraceConfig, UploadTraceGenerator
+from repro.traces.synthetic import (
+    RESOLVE_BLOCK_STEPS,
+    UploadTraceConfig,
+    UploadTraceGenerator,
+)
 from repro.util.cache import ResultCache
 from repro.util.faults import FaultInjector, always_failing
 from tests.conftest import run_pooled
@@ -192,6 +196,55 @@ class TestFig13Golden:
                            match=rf"max_snapshots .*got {max_snapshots}"):
             fig13.compute(trace_config=self.CONFIG, seed=2010,
                           max_snapshots=max_snapshots)
+
+
+class TestFig13Prefix:
+    """Capped runs on the default 14-day trace generate only the blocks
+    holding their snapshots, with the output of a run over the whole
+    trace — ``meta`` (the full trace's duration) included."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return UploadTraceGenerator().generate(2010)
+
+    @pytest.mark.parametrize("max_snapshots", [40, 600])
+    def test_equals_run_over_whole_trace(self, trace, max_snapshots,
+                                         tmp_path, monkeypatch):
+        expected = fig13.compute(trace=trace, seed=2010,
+                                 max_snapshots=max_snapshots)
+        cache = ResultCache(tmp_path)
+        cold = fig13.compute(seed=2010, max_snapshots=max_snapshots,
+                             cache=cache)
+        assert_results_identical(cold, expected)
+        # Warm: every gain comes from the cache, none is recomputed.
+        def recompute(*args):
+            raise AssertionError("the warm run recomputed a chunk")
+
+        monkeypatch.setattr(fig13, "_fig13_chunk", recompute)
+        warm = fig13.compute(seed=2010, max_snapshots=max_snapshots,
+                             cache=cache)
+        assert_results_identical(warm, expected)
+
+    def test_resolves_only_the_prefix_and_the_last_block(self,
+                                                         monkeypatch):
+        config = UploadTraceConfig()
+        resolved = []
+        resolve = UploadTraceGenerator._resolve_block
+
+        def counting(self, block, names_used, timer):
+            step = round(block[0][0] / config.snapshot_interval_s)
+            resolved.append(step // RESOLVE_BLOCK_STEPS)
+            return resolve(self, block, names_used, timer)
+
+        monkeypatch.setattr(UploadTraceGenerator, "_resolve_block",
+                            counting)
+        fig13.compute(seed=2010, max_snapshots=40)
+        # Two blocks hold the first 40 busy snapshots; the last of the
+        # trace's 56 blocks gives its duration.
+        n_blocks = -(-config.n_snapshots // RESOLVE_BLOCK_STEPS)
+        assert n_blocks == 56
+        assert len(resolved) <= 3
+        assert resolved[-1] == n_blocks - 1
 
 
 class TestFig14Golden:

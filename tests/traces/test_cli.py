@@ -97,6 +97,26 @@ class TestInspectCommand:
         assert rc == EXIT_CORRUPT_STATE
         assert "promises 5 locations, found 4" in capsys.readouterr().err
 
+    def test_inspect_truncated_upload_is_corrupt_state(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "building.jsonl"
+        main(["upload", "--out", str(out), "--days", "1", "--seed", "3"])
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(out.read_text().splitlines(
+            keepends=True)[:40]))
+        capsys.readouterr()
+        rc = run_cli("repro-traces", lambda: main(["inspect", str(torn)]))
+        assert rc == EXIT_CORRUPT_STATE
+        assert "promises 557 snapshots, found 39" in capsys.readouterr().err
+
+    def test_inspect_headerless_upload_is_corrupt_state(self, tmp_path,
+                                                        capsys):
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text('{"kind": "upload-trace"}\n')
+        rc = run_cli("repro-traces", lambda: main(["inspect", str(bare)]))
+        assert rc == EXIT_CORRUPT_STATE
+        assert "lacks building" in capsys.readouterr().err
+
     def test_inspect_torn_header_is_corrupt_state(self, tmp_path, capsys):
         torn = tmp_path / "torn.jsonl"
         torn.write_text('{"kind": "upload-tr')  # half a JSON header

@@ -73,6 +73,37 @@ class TestUploadRoundTrip:
         path.write_text(path.read_text() + "\n\n")
         assert read_upload_trace(path) == upload_trace
 
+    def test_truncated_upload_trace_rejected(self, upload_trace, tmp_path):
+        # The upload trace's header counts its snapshots the same way.
+        path = tmp_path / "trace.jsonl"
+        write_upload_trace(upload_trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        n = len(upload_trace)
+        with pytest.raises(ValueError, match=rf"promises {n} snapshots, "
+                                             rf"found {n - 1}"):
+            read_upload_trace(path)
+
+    @pytest.mark.parametrize("field", ["building", "snapshot_interval_s"])
+    def test_upload_header_field_missing_rejected(self, field, tmp_path):
+        header = {"kind": "upload-trace", "building": "b",
+                  "snapshot_interval_s": 900.0}
+        del header[field]
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match=rf"header lacks {field}"):
+            read_upload_trace(path)
+
+    def test_upload_header_without_count_loads(self, upload_trace, tmp_path):
+        # Traces written before the header carried a count still load.
+        path = tmp_path / "trace.jsonl"
+        write_upload_trace(upload_trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["count"]
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        assert read_upload_trace(path) == upload_trace
+
 
 class TestDownlinkRoundTrip:
     def test_lossless(self, campaign, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traces.synthetic import (
+    RESOLVE_BLOCK_STEPS,
     UploadTraceConfig,
     UploadTraceGenerator,
     occupancy_factor,
@@ -160,3 +161,91 @@ class TestVectorizedGoldenEquivalence:
         a, b = UploadTraceGenerator(), UploadTraceGenerator()
         assert a.config == b.config
         assert a.config is not b.config
+
+
+def _busy(snapshots):
+    return sum(s.n_clients >= 2 for s in snapshots)
+
+
+class TestPrefixAndDuration:
+    """``generate(seed, until_busy=N)`` is the shortest whole-block
+    prefix of ``generate(seed)`` holding N busy snapshots, and
+    ``duration_s(seed)`` is the full trace's span without resolving
+    it."""
+
+    GOLDEN = TestVectorizedGoldenEquivalence.CONFIGS
+    CONFIGS = [UploadTraceConfig(), GOLDEN[3], GOLDEN[4], GOLDEN[5],
+               GOLDEN[6]]
+    IDS = ["default", "no-shadowing", "harsh-clipping", "partial-block",
+           "sparse"]
+
+    @staticmethod
+    def _block(config, snapshot):
+        step = round(snapshot.timestamp_s / config.snapshot_interval_s)
+        return step // RESOLVE_BLOCK_STEPS
+
+    @pytest.fixture(scope="class", params=list(zip(CONFIGS, IDS)),
+                    ids=IDS)
+    def case(self, request):
+        config = request.param[0]
+        generator = UploadTraceGenerator(config)
+        return config, generator, {seed: generator.generate(seed)
+                                   for seed in (0, 2010)}
+
+    @pytest.mark.parametrize("until_busy", [1, 40, 600])
+    @pytest.mark.parametrize("seed", [0, 2010])
+    def test_prefix_of_whole_blocks(self, case, seed, until_busy):
+        config, generator, fulls = case
+        full = fulls[seed]
+        prefix = generator.generate(seed, until_busy=until_busy)
+        n = len(prefix)
+        assert prefix.snapshots == full.snapshots[:n]
+        assert (prefix.building, prefix.snapshot_interval_s) == \
+            (full.building, full.snapshot_interval_s)
+        assert _busy(prefix) >= min(until_busy, _busy(full))
+        if n < len(full):
+            # It ends on a block boundary, after the block that
+            # reached ``until_busy``.
+            last = self._block(config, prefix.snapshots[-1])
+            assert self._block(config, full.snapshots[n]) > last
+            earlier = [s for s in prefix
+                       if self._block(config, s) < last]
+            assert _busy(earlier) < until_busy
+
+    @pytest.mark.parametrize("seed", [0, 2010])
+    def test_until_busy_above_trace_returns_full_trace(self, case, seed):
+        _, generator, fulls = case
+        full = fulls[seed]
+        assert generator.generate(
+            seed, until_busy=_busy(full) + 1) == full
+
+    @pytest.mark.parametrize("seed", [0, 2010])
+    def test_duration_matches_full_trace(self, case, seed):
+        _, generator, fulls = case
+        assert generator.duration_s(seed) == fulls[seed].duration_s
+
+    def test_duration_falls_back_when_last_block_keeps_no_client(
+            self, monkeypatch):
+        # Seed 7 of the sparse config: the last block that draws clients
+        # keeps none of them above its -50 dBm floor, so the trace's
+        # last snapshot sits in an earlier block.
+        generator = UploadTraceGenerator(self.GOLDEN[6])
+        expected = generator.generate(7).duration_s
+        calls = []
+        generate = UploadTraceGenerator.generate
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(UploadTraceGenerator, "generate", spy)
+        assert generator.duration_s(7) == expected > 0.0
+        assert len(calls) == 1
+
+    def test_duration_replays_a_live_generator(self):
+        # The fallback replays a copy of the starting stream, and the
+        # generator passed in ends where ``generate`` leaves it.
+        generator = UploadTraceGenerator(self.GOLDEN[6])
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        assert generator.duration_s(a) == generator.generate(b).duration_s
+        assert a.random() == b.random()
