@@ -40,9 +40,6 @@ def test_fig12_policy_comparison(benchmark):
         parts = ", ".join(f"{name} {gain:.3f}x"
                           for name, gain in comparison.mean_gains.items())
         lines.append(f"  n={comparison.n_clients:>3}: {parts}")
-    lines.append("  runtime: " + ", ".join(
-        f"n={n}: {entry['total_s'] * 1e3:.1f} ms"
-        for n, entry in result["runtime"].items()))
     emit(lines)
 
 

@@ -114,10 +114,10 @@ def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
             kwargs["n_residential_rows"] = 3 * args.samples
         elif figure == "fig13":
             kwargs["max_snapshots"] = args.samples
-    if figure in _SUPERVISED_FIGURES:
+    if _accepts(figure, "seed"):
         kwargs.setdefault("seed", args.seed)
-        if args.chunk_size is not None:
-            kwargs["chunk_size"] = args.chunk_size
+    if figure in _SUPERVISED_FIGURES and args.chunk_size is not None:
+        kwargs["chunk_size"] = args.chunk_size
     return kwargs
 
 

@@ -3,15 +3,18 @@
 Fig. 12 is a schematic, not a data plot; what is checkable is the
 reduction's *behaviour*: the blossom-based scheduler finds the optimal
 pairing (equal to brute force for small n), beats greedy and random
-pairing, handles odd client counts through the dummy node, and scales
-polynomially.  This module produces those numbers.
+pairing, and handles odd client counts through the dummy node.  This
+module produces those numbers.
 
-:func:`compute` runs each size's policy comparison, then the runtime
-table, as the items of one supervised indexed map
-(:func:`~repro.experiments.runner.run_indexed`): under the suite engine
-they run on the shared worker pool, elsewhere in-process, in order.
-Every item reseeds from ``seed`` (a live ``Generator`` keeps them
-in-process), so results are the same either way.
+:func:`compute` runs each size's policy comparison as the items of one
+supervised indexed map (:func:`~repro.experiments.runner.run_indexed`):
+under the suite engine they run on the shared worker pool, elsewhere
+in-process, in order.  Every item reseeds from ``seed`` (a live
+``Generator`` keeps them in-process), so results are the same either
+way.  The result holds no wall-clock values, so it is the same on every
+run; the polynomial-runtime claim is timed by
+``benchmarks/test_bench_scheduler.py`` instead (and
+:func:`runtime_scaling` times one schedule per size for other callers).
 """
 
 from __future__ import annotations
@@ -45,10 +48,6 @@ DEFAULT_BANDWIDTH_HZ = 20e6
 
 #: Every policy :func:`compare_policies` can run, in its key order.
 POLICIES = ("blossom", "greedy", "random", "serial", "brute_force")
-
-#: The runtime table's backlog sizes and per-size fields.
-RUNTIME_SIZES = (4, 8, 16, 32, 64)
-RUNTIME_FIELDS = ("total_s", "cost_build_s", "matching_s", "assembly_s")
 
 
 def random_clients(n: int, rng: np.random.Generator, snr_db_low: float = 3.0,
@@ -151,29 +150,20 @@ class _Study:
 def _fig12_chunk(study: _Study, start: int, n: int) -> Dict[str, np.ndarray]:
     """Evaluate items ``[start, start + n)`` of the study.
 
-    Item ``k < len(sizes)`` is the policy comparison at ``sizes[k]``
-    (one row of ``time``/``gain``, columns in :data:`POLICIES` order,
-    NaN where a policy does not run); the last item is the runtime
-    table (``runtime``: one row of :data:`RUNTIME_SIZES` x
-    :data:`RUNTIME_FIELDS`).  Each item leaves the other arrays NaN.
+    Item ``k`` is the policy comparison at ``sizes[k]``: one row of
+    ``time``/``gain``, columns in :data:`POLICIES` order, NaN where a
+    policy does not run.
     """
     out = {"time": np.full((n, len(POLICIES)), np.nan),
-           "gain": np.full((n, len(POLICIES)), np.nan),
-           "runtime": np.full((n, len(RUNTIME_SIZES), len(RUNTIME_FIELDS)),
-                              np.nan)}
+           "gain": np.full((n, len(POLICIES)), np.nan)}
     for row, item in enumerate(range(start, start + n)):
-        if item < len(study.sizes):
-            comparison = compare_policies(study.sizes[item],
-                                          n_trials=study.n_trials,
-                                          seed=study.seed)
-            out["time"][row] = [comparison.mean_times.get(name, np.nan)
-                                for name in POLICIES]
-            out["gain"][row] = [comparison.mean_gains.get(name, np.nan)
-                                for name in POLICIES]
-        else:
-            runtime = runtime_scaling(RUNTIME_SIZES, seed=study.seed)
-            out["runtime"][row] = [[entry[field] for field in RUNTIME_FIELDS]
-                                   for entry in runtime.values()]
+        comparison = compare_policies(study.sizes[item],
+                                      n_trials=study.n_trials,
+                                      seed=study.seed)
+        out["time"][row] = [comparison.mean_times.get(name, np.nan)
+                            for name in POLICIES]
+        out["gain"][row] = [comparison.mean_gains.get(name, np.nan)
+                            for name in POLICIES]
     return out
 
 
@@ -190,11 +180,11 @@ def compute(sizes: Sequence[int] = (3, 5, 8, 12, 20),
             policy: Optional[ExecutionPolicy] = None) -> Dict[str, object]:
     """The full Fig. 12 behavioural study.
 
-    One :func:`compare_policies` per size, then :func:`runtime_scaling`,
-    as ``len(sizes) + 1`` single-item chunks of one
+    One :func:`compare_policies` per size, as ``len(sizes)``
+    single-item chunks of one
     :func:`~repro.experiments.runner.run_indexed` map.  ``policy``
     carries the suite's shared pool when there is one.  The map is
-    never cached or checkpointed: the runtime table is wall-clock.
+    never cached or checkpointed.
 
     A seed the runner cannot replay (a live ``Generator``, OS entropy)
     keeps every item in-process, in order: each worker would otherwise
@@ -211,7 +201,7 @@ def compute(sizes: Sequence[int] = (3, 5, 8, 12, 20),
 
     merged = run_indexed(
         "fig12", _fig12_chunk, _Study(sizes, n_trials, seed),
-        len(sizes) + 1, code_version=1, chunk_size=1, cache_key=None,
+        len(sizes), code_version=1, chunk_size=1, cache_key=None,
         policy=policy)
 
     comparisons = [
@@ -219,7 +209,4 @@ def compute(sizes: Sequence[int] = (3, 5, 8, 12, 20),
                             mean_times=_policy_means(merged["time"][k]),
                             mean_gains=_policy_means(merged["gain"][k]))
         for k, n in enumerate(sizes)]
-    runtime = {n: {field: float(value)
-                   for field, value in zip(RUNTIME_FIELDS, row)}
-               for n, row in zip(RUNTIME_SIZES, merged["runtime"][-1])}
-    return {"comparisons": comparisons, "runtime": runtime}
+    return {"comparisons": comparisons}

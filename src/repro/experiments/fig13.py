@@ -211,11 +211,14 @@ def compute(trace: Optional[UploadTrace] = None,
             generator = UploadTraceGenerator(config)
             # Under a cap, with a seed that replays, resolve only the
             # blocks holding the first busy snapshots; the full trace's
-            # span comes from a second pass over the draws.
+            # span then comes from a second pass over the draws.  A
+            # trace with fewer busy snapshots than the cap came back
+            # whole and holds its own span.
             prefix = max_snapshots is not None and token is not None
             trace = generator.generate(
                 seed, until_busy=max_snapshots if prefix else None)
-            duration_s = (generator.duration_s(seed) if prefix
+            cut = prefix and len(trace.busy_snapshots(2)) >= max_snapshots
+            duration_s = (generator.duration_s(seed) if cut
                           else trace.duration_s)
     else:
         duration_s = trace.duration_s

@@ -88,13 +88,6 @@ def _render_fig12(result) -> List[str]:
         parts = ", ".join(f"{name} {gain:.3f}x"
                           for name, gain in comparison.mean_gains.items())
         lines.append(f"n={comparison.n_clients:>3}: mean gains {parts}")
-    lines.append("runtime (one instance): " + ", ".join(
-        f"n={n}: {entry['total_s'] * 1e3:.1f}ms"
-        for n, entry in result["runtime"].items()))
-    for n, entry in result["runtime"].items():
-        phases = ", ".join(f"{k[:-2]} {v * 1e3:.1f}ms"
-                           for k, v in entry.items() if k != "total_s")
-        lines.append(f"  n={n:>3} phases: {phases}")
     return lines
 
 
@@ -124,7 +117,7 @@ REGISTRY: Dict[str, Experiment] = {
         "fig11", "Technique CDFs (power control, multirate, packing)",
         fig11.compute, _render_fig11),
     "fig12": Experiment(
-        "fig12", "Scheduler vs baselines + runtime scaling",
+        "fig12", "Scheduler vs baselines",
         fig12.compute, _render_fig12),
     "fig13": Experiment(
         "fig13", "Trace-based upload pairing evaluation",

@@ -64,7 +64,6 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import ExecutionPolicy, SuitePool
 from repro.experiments.transport import TransportPolicy, TransportStats
-from repro.util.timing import PhaseTimer
 
 
 @dataclass
@@ -89,7 +88,6 @@ class SuiteResult:
     pool_stats: Dict[str, object]
     transport: Dict[str, int]
     wall_s: float
-    timer: PhaseTimer
 
     def runs(self) -> Dict[str, ExperimentRun]:
         """Successful figure runs keyed by figure id."""
@@ -184,16 +182,12 @@ def run_suite(figures: Optional[List[str]] = None,
 
     outcomes = {figure: FigureOutcome(figure, None, 0.0)
                 for figure in requested}
-    timers: Dict[str, PhaseTimer] = {}
 
     def _figure_body(figure: str) -> None:
         outcome = outcomes[figure]
         kwargs = dict(kwargs_by_figure.get(figure, {}))
         if _accepts(figure, "policy"):
             kwargs.setdefault("policy", suite_policy)
-        if _accepts(figure, "timer") and "timer" not in kwargs:
-            timers[figure] = PhaseTimer()
-            kwargs["timer"] = timers[figure]
         start = time.perf_counter()
         try:
             outcome.run = run_experiment(figure, **kwargs)
@@ -219,16 +213,11 @@ def run_suite(figures: Optional[List[str]] = None,
         if own_pool:
             suite_pool.close()
 
-    suite_timer = PhaseTimer()
-    for figure, timer in timers.items():
-        suite_timer.merge(timer, prefix=f"{figure}.")
-
     result = SuiteResult(
         outcomes=[outcomes[figure] for figure in requested],
         pool_stats=suite_pool.stats(),
         transport=stats.as_dict(),
-        wall_s=time.perf_counter() - suite_start,
-        timer=suite_timer)
+        wall_s=time.perf_counter() - suite_start)
 
     for outcome in result.outcomes:
         if outcome.error is not None:

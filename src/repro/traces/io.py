@@ -67,9 +67,10 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
     """Read an upload trace written by :func:`write_upload_trace`.
 
     Raises ``ValueError`` on a malformed record, on a header without
-    ``building`` or ``snapshot_interval_s``, and on a record count that
-    differs from the header's ``count`` (headers written before it
-    existed carry none and are not checked).
+    ``building`` or with a ``snapshot_interval_s`` that is missing or
+    not a number, and on a record count that differs from the header's
+    ``count`` (headers written before it existed carry none and are not
+    checked).
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -85,6 +86,11 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
         if missing:
             raise ValueError(f"{path}: trace header lacks "
                              f"{', '.join(missing)}")
+        try:
+            snapshot_interval_s = float(header["snapshot_interval_s"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed trace header "
+                             f"snapshot_interval_s") from exc
         snapshots = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
@@ -108,7 +114,7 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
                          f"found {len(snapshots)}")
     return UploadTrace(
         building=header["building"],
-        snapshot_interval_s=float(header["snapshot_interval_s"]),
+        snapshot_interval_s=snapshot_interval_s,
         snapshots=tuple(snapshots),
     )
 

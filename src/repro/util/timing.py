@@ -11,9 +11,8 @@ Timers only ever *measure*; they never feed results, so they use
 ``time.perf_counter`` (monotonic, RPR301-safe).  The clock is
 injectable for tests.
 
-Accumulation is thread-safe: the suite engine runs one figure per
-thread, each charging phases into its own timer, then folds them into
-one suite-level timer via :meth:`PhaseTimer.merge`.
+Accumulation is thread-safe, so one timer can be charged from
+several threads.
 """
 
 from __future__ import annotations
@@ -79,22 +78,6 @@ class PhaseTimer:
                        "count": float(self._counts[name])}
                 for name in self._totals
             }
-
-    def merge(self, other: "PhaseTimer", prefix: str = "") -> None:
-        """Fold another timer's totals and counts into this one.
-
-        ``prefix`` namespaces the incoming phases (the suite engine
-        merges each figure's timer under ``"figN."``).  The other timer
-        is snapshotted first, so merging a timer into itself is safe.
-        """
-        with other._lock:
-            totals = dict(other._totals)
-            counts = dict(other._counts)
-        with self._lock:
-            for name, total in totals.items():
-                key = prefix + name
-                self._totals[key] = self._totals.get(key, 0.0) + total
-                self._counts[key] = self._counts.get(key, 0) + counts[name]
 
     def reset(self) -> None:
         """Drop all accumulated totals and counts."""

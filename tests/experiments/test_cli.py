@@ -1,5 +1,7 @@
 """CLI tests for ``python -m repro.experiments``."""
 
+import inspect
+
 import pytest
 
 from repro.experiments.__main__ import _kwargs_for, build_parser, main
@@ -88,6 +90,23 @@ class TestMain:
         assert fig7_kwargs["n_ewlan_grids"] == 7
         assert fig7_kwargs["n_residential_rows"] == 21
         assert _kwargs_for("fig13", args)["max_snapshots"] == 7
+
+    @pytest.mark.parametrize("figure", ordered_figures())
+    def test_seed_reaches_every_seeded_figure(self, figure):
+        args = build_parser().parse_args(
+            ["all", "--seed", "7", "--chunk-size", "10"])
+        kwargs = _kwargs_for(figure, args)
+        takes = inspect.signature(REGISTRY[figure].compute).parameters
+        assert kwargs.get("seed") == (7 if "seed" in takes else None)
+        # --chunk-size still reaches only the supervised figures.
+        assert ("chunk_size" in kwargs) == ("chunk_size" in takes)
+
+    def test_fig12_runs_at_the_given_seed(self, capsys):
+        assert main(["fig12", "--quick", "--seed", "7"]) == 0
+        direct = run_experiment("fig12", sizes=(3, 5, 8), n_trials=5,
+                                seed=7)
+        assert capsys.readouterr().out.splitlines()[:-1] == direct.lines
+        assert "blossom 1.216x" in direct.lines[1]
 
     def test_samples_note_for_inapplicable_figures(self, capsys):
         assert main(["fig3", "--quick", "--samples", "50"]) == 0

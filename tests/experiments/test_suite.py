@@ -271,15 +271,11 @@ class TestRunSuiteGolden:
     def test_fig12_items_run_on_the_pool(self):
         kwargs = {"fig12": {"sizes": (3, 5), "n_trials": 2}}
         suite = run_suite(["fig12"], kwargs, n_workers=2)
-        # One chunk per size plus the runtime table.
-        assert suite.pool_stats["tasks_done"] == 3
+        # One chunk per size.
+        assert suite.pool_stats["tasks_done"] == 2
         result = suite.runs()["fig12"].result
         direct = fig12.compute(**kwargs["fig12"])
         assert _fig12_comparisons(result) == _fig12_comparisons(direct)
-        assert list(result["runtime"]) == [4, 8, 16, 32, 64]
-        for entry in result["runtime"].values():
-            assert list(entry) == ["total_s", "cost_build_s",
-                                   "matching_s", "assembly_s"]
 
     def test_fig12_pinned_to_recorded_values(self):
         # Guards the chunk arrays' round trip: exact floats, plain

@@ -246,6 +246,27 @@ class TestFig13Prefix:
         assert len(resolved) <= 3
         assert resolved[-1] == n_blocks - 1
 
+    def test_cap_above_the_busy_count_draws_the_stream_once(self,
+                                                            monkeypatch):
+        # The 1-day trace holds 347 busy snapshots: under a cap of 447
+        # generate() already returns all of it, so its duration needs
+        # no second pass over the draws.
+        config = UploadTraceConfig(duration_days=1.0)
+        trace = UploadTraceGenerator(config).generate(2010)
+        assert len(trace.busy_snapshots(2)) == 347
+        expected = fig13.compute(trace=trace, seed=2010, max_snapshots=447)
+
+        def second_pass(self, seed=None):
+            raise AssertionError("duration_s redrew the stream")
+
+        monkeypatch.setattr(UploadTraceGenerator, "duration_s", second_pass)
+        got = fig13.compute(trace_config=config, seed=2010,
+                            max_snapshots=447)
+        assert_results_identical(got, expected)
+        assert got["meta"] == {"n_snapshots": 347,
+                               "building": trace.building,
+                               "trace_duration_s": trace.duration_s}
+
 
 class TestFig14Golden:
     KW = dict(trace_config=DownlinkTraceConfig(n_locations=20),

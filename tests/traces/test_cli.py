@@ -117,6 +117,15 @@ class TestInspectCommand:
         assert rc == EXIT_CORRUPT_STATE
         assert "lacks building" in capsys.readouterr().err
 
+    def test_inspect_non_numeric_interval_is_corrupt_state(self, tmp_path,
+                                                           capsys):
+        odd = tmp_path / "odd.jsonl"
+        odd.write_text('{"kind": "upload-trace", "building": "b", '
+                       '"snapshot_interval_s": [900]}\n')
+        rc = run_cli("repro-traces", lambda: main(["inspect", str(odd)]))
+        assert rc == EXIT_CORRUPT_STATE
+        assert "malformed trace header" in capsys.readouterr().err
+
     def test_inspect_torn_header_is_corrupt_state(self, tmp_path, capsys):
         torn = tmp_path / "torn.jsonl"
         torn.write_text('{"kind": "upload-tr')  # half a JSON header

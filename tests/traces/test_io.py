@@ -94,6 +94,18 @@ class TestUploadRoundTrip:
         with pytest.raises(ValueError, match=rf"header lacks {field}"):
             read_upload_trace(path)
 
+    @pytest.mark.parametrize("interval", [[900], {"s": 900}, None, "soon"],
+                             ids=["list", "dict", "null", "text"])
+    def test_upload_header_interval_not_a_number_rejected(self, interval,
+                                                          tmp_path):
+        header = {"kind": "upload-trace", "building": "b",
+                  "snapshot_interval_s": interval}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError,
+                           match="malformed trace header snapshot_interval_s"):
+            read_upload_trace(path)
+
     def test_upload_header_without_count_loads(self, upload_trace, tmp_path):
         # Traces written before the header carried a count still load.
         path = tmp_path / "trace.jsonl"
