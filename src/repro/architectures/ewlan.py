@@ -250,7 +250,9 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
 
     Batched fast path: bit-identical to
     :func:`evaluate_ewlan_cross_pairs_scalar` for any seed, chunk size
-    and ``policy.pool``.  ``timer`` splits wall-clock into ``sample`` /
+    and ``policy.pool``.  Of the shadowed propagation models it replays
+    only :class:`LogDistancePathLoss`; any other raises ``ValueError``
+    before a draw.  ``timer`` splits wall-clock into ``sample`` /
     ``evaluate`` / ``aggregate``.
     """
     if n_grids < 1:
@@ -261,11 +263,10 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
     sigma_db = getattr(propagation, "shadowing_sigma_db", 0.0)
     if sigma_db > 0.0 and not isinstance(propagation, LogDistancePathLoss):
         # Only the log-distance model's fading recipe is replayed in
-        # the chunk function; unknown stochastic models keep the exact
-        # scalar semantics by running the frozen reference.
-        return evaluate_ewlan_cross_pairs_scalar(
-            n_grids, ap_rows, ap_cols, ap_spacing_m, clients_per_ap,
-            packet_bits, channel, propagation, seed)
+        # the chunk function.
+        raise ValueError(
+            f"shadowed {type(propagation).__name__} is not supported; "
+            "only LogDistancePathLoss shadowing is replayed")
     token = seed_cache_token(seed)
     rng = make_rng(seed)
 

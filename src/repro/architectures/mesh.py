@@ -138,14 +138,10 @@ def sweep_chain_geometries(channel: Channel,
     Bit-identical to :func:`sweep_chain_geometries_scalar` — link
     distances come from the same accumulated node positions, RSS from
     the per-element exact ``received_power_batch``, and the serial
-    airtime keeps the scalar left-to-right summation order.
+    airtime keeps the scalar left-to-right summation order.  Neither
+    passes an rng, so a shadowed model raises ``ValueError`` in both.
     """
     propagation = propagation or LogDistancePathLoss(exponent=3.5)
-    if getattr(propagation, "shadowing_sigma_db", 0.0) > 0.0:
-        # analyse_chain passes no rng, so shadowed models raise there;
-        # run the frozen loop to reproduce the scalar error exactly.
-        return sweep_chain_geometries_scalar(channel, long_hops_m,
-                                             short_hops_m, propagation)
     combos: List[Tuple[float, float]] = [
         (long_m, short_m)
         for long_m in long_hops_m

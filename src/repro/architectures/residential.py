@@ -251,7 +251,9 @@ def evaluate_residential_rows(n_rows: int = 400,
 
     Batched fast path: bit-identical to
     :func:`evaluate_residential_rows_scalar` for any seed, chunk size
-    and ``policy.pool``.  ``timer`` splits wall-clock into ``sample`` /
+    and ``policy.pool``.  Of the shadowed propagation models it replays
+    only :class:`LogDistancePathLoss`; any other raises ``ValueError``
+    before a draw.  ``timer`` splits wall-clock into ``sample`` /
     ``evaluate`` / ``aggregate``.
     """
     if n_rows < 1:
@@ -265,11 +267,10 @@ def evaluate_residential_rows(n_rows: int = 400,
     sigma_db = getattr(propagation, "shadowing_sigma_db", 0.0)
     if sigma_db > 0.0 and not isinstance(propagation, LogDistancePathLoss):
         # Only the log-distance fading recipe is replayed in the chunk
-        # function; unknown stochastic models keep the exact scalar
-        # semantics by running the frozen reference.
-        return evaluate_residential_rows_scalar(
-            n_rows, n_homes, home_width_m, clients_per_home,
-            packet_bits, channel, propagation, seed)
+        # function.
+        raise ValueError(
+            f"shadowed {type(propagation).__name__} is not supported; "
+            "only LogDistancePathLoss shadowing is replayed")
     token = seed_cache_token(seed)
     rng = make_rng(seed)
 

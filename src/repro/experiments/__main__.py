@@ -79,8 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(results are identical for any count)")
     parser.add_argument(
         "--chunk-size", type=positive_int, default=None, metavar="N",
-        help="samples per supervised chunk (enables checkpoint "
-             "granularity; results are identical for any size)")
+        help="samples per supervised chunk (the checkpoint granularity); "
+             "fig7, fig13 and fig14 give identical results for any size, "
+             "fig6 and fig11 seed each chunk separately, so theirs "
+             "depend on it")
     parser.add_argument(
         "--report", type=Path, default=None, metavar="FILE",
         help="also write the output as a markdown report to FILE")

@@ -43,7 +43,7 @@ def compute(n_samples: int = 10_000,
     Returns ``{"one_receiver": {technique: {...}},
     "two_receivers": {technique: {...}}}`` where each technique entry
     holds ``gains`` (ndarray) and ``summary`` (dict).  ``timer``
-    charges one phase per panel (injected by the suite engine).
+    charges one phase per panel.
     """
     config = MonteCarloConfig(n_samples=n_samples, range_m=range_m,
                               pathloss_exponent=pathloss_exponent)

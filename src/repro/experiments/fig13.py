@@ -13,7 +13,7 @@ DESIGN.md for the substitution argument).
 Fast path (``docs/trace_performance.md``): the trace comes from the
 vectorised generator (under a ``max_snapshots`` cap, only the blocks
 holding the snapshots it keeps), the busy snapshots run as chunks of the
-supervised indexed runner (retry/backoff, checkpoint/resume, the
+supervised indexed runner (retries, checkpoint/resume, the
 ``REPRO_CACHE_DIR`` result cache, and worker processes when the
 ``policy`` carries a pool), and each snapshot's backlog is costed once
 and shared by all three technique sets.  :func:`compute_scalar`

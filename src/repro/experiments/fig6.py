@@ -44,8 +44,7 @@ def compute(ranges_m: Sequence[float] = DEFAULT_RANGES_M,
     """Gain samples and summaries, one entry per transmitter range.
 
     Returns ``{range_label: {"gains": ndarray, "summary": {...}}}``.
-    ``timer`` charges one ``range=...`` phase per sweep entry (the suite
-    engine injects one to break suite wall time down per figure).
+    ``timer`` charges one ``range=...`` phase per sweep entry.
     """
     seeds = spawn_seed_sequences(seed, len(ranges_m))
     results: Dict[str, Dict[str, object]] = {}

@@ -6,10 +6,9 @@ map over precomputed items).  A **supervisor** drives the chunks to
 completion, keeping the hard invariant — results bit-identical to a
 fault-free serial run — while recovering from:
 
-* **chunk failures** — each failed chunk is retried under a
-  :class:`~repro.util.faults.RetryPolicy` (bounded attempts,
-  deterministic backoff through an injectable sleep hook); a chunk that
-  exhausts its budget raises :class:`ChunkExecutionError`;
+* **chunk failures** — a failed chunk is resubmitted at once, up to
+  :attr:`ExecutionPolicy.max_attempts` attempts in all; a chunk that
+  exhausts them raises :class:`ChunkExecutionError`;
 * **pool failures** — ``BrokenProcessPool`` (a worker OOM-killed or
   segfaulted) and worker timeouts rebuild the pool and resubmit *only
   the chunks still missing*; after ``max_pool_rebuilds`` consecutive
@@ -37,9 +36,8 @@ Determinism holds because chunk ``i``'s result is a pure function of
 degradation and resume all re-evaluate the *same* pure function, so
 worker count, retry count and resume-vs-fresh never change results.
 Every recovery path is testable via the deterministic
-:class:`~repro.util.faults.FaultInjector` (seeded, keyed on
-``(engine, chunk_index, attempt)`` — no wall clock, no global
-randomness).
+:class:`~repro.util.faults.FaultInjector`, which fails the chunk
+attempts and pool rounds a test names — no wall clock, no randomness.
 
 Pooled chunks always run on a :class:`SuitePool`: one persistent
 ``ProcessPoolExecutor`` whose own FIFO queue takes every chunk as it is
@@ -62,7 +60,7 @@ import warnings
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 InvalidStateError, ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from threading import Lock
@@ -81,7 +79,7 @@ from repro.experiments.transport import (
 from repro.util.cache import ResultCache
 from repro.util.checkpoint import CheckpointStore, checkpoint_dir_from_env
 from repro.util.errors import ResumableInterrupt, TransientError
-from repro.util.faults import FaultInjector, RetryPolicy
+from repro.util.faults import FaultInjector
 from repro.util.rng import SeedLike, spawn_seed_sequences
 
 ChunkResult = Dict[str, np.ndarray]
@@ -210,12 +208,12 @@ class _WatchdogMonitor:
 class ExecutionPolicy:
     """Fault-tolerance knobs threaded through every batched engine.
 
-    The default policy retries each chunk up to
-    ``RetryPolicy.max_attempts`` times with no backoff sleeping,
-    rebuilds a broken pool up to ``max_pool_rebuilds`` times before
-    degrading to in-process execution, and checkpoints only when a
-    directory is configured.  ``faults`` is the deterministic injector
-    used by the resilience tests; production runs leave it ``None``.
+    The default policy runs each chunk up to ``max_attempts`` times,
+    resubmitting a failed attempt at once, rebuilds a broken pool up to
+    ``max_pool_rebuilds`` times before degrading to in-process
+    execution, and checkpoints only when a directory is configured.
+    ``faults`` is the deterministic injector used by the resilience
+    tests; production runs leave it ``None``.
 
     ``watchdog`` supervises pooled rounds for hung workers.
 
@@ -230,7 +228,7 @@ class ExecutionPolicy:
     ``(config, seed, size)``.
     """
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    max_attempts: int = 3
     max_pool_rebuilds: int = 2
     checkpoint_dir: Optional[Union[str, Path]] = None
     faults: Optional[FaultInjector] = None
@@ -240,6 +238,8 @@ class ExecutionPolicy:
     transport_stats: Optional[TransportStats] = None
 
     def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be non-negative")
 
@@ -335,20 +335,6 @@ def _guarded_chunk(chunk_fn: ChunkFn, config: object, seed: SeedLike,
 # The worker pool
 # ---------------------------------------------------------------------------
 
-#: Per-worker warmup sleep: long enough to force the pool to actually
-#: fork every worker before the figure threads start, cheap enough to
-#: be invisible in the suite wall time.
-_WARMUP_SLEEP_S = 0.02
-
-
-def _warmup(delay_s: float) -> int:
-    """Trivial pool task used to pre-fork workers; returns worker pid."""
-    # Not a retry backoff: this sleep only keeps the warmup task alive
-    # long enough that every pool worker forks before real work lands.
-    time.sleep(delay_s)  # repro-lint: disable=RPR303
-    return os.getpid()
-
-
 def _timed(fn: Callable[..., object],
            args: Tuple[object, ...]) -> Tuple[object, float]:
     """Run one pool task in the worker; return it with its duration.
@@ -435,8 +421,10 @@ class SuitePool:
         self._created_at = time.monotonic()
         self._executor = self._new_executor()
         # Fork every worker *now*, before figure threads exist — forking
-        # a many-threaded parent mid-run is the risky path.
-        wait([self._executor.submit(_warmup, _WARMUP_SLEEP_S)
+        # a many-threaded parent mid-run is the risky path.  Under the
+        # fork start method the first submit starts every worker, so
+        # no-op tasks suffice.
+        wait([self._executor.submit(os.getpid)
               for _ in range(self.workers)], timeout=60.0)
 
     # -- lifecycle ---------------------------------------------------------
@@ -651,9 +639,8 @@ class _Supervisor:
     def _record_chunk_failure(self, index: int, exc: BaseException) -> None:
         """Book a failed attempt; raise when the retry budget is gone."""
         attempt = self.next_attempt.get(index, 1)
-        if attempt >= self.policy.retry.max_attempts:
+        if attempt >= self.policy.max_attempts:
             raise ChunkExecutionError(self.engine, index, attempt, exc)
-        self.policy.retry.wait(attempt)
         self.next_attempt[index] = attempt + 1
 
     # -- execution modes --------------------------------------------------
@@ -840,7 +827,7 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
     count** — the trace pipeline pins serial == parallel == cached
     bit-identity on exactly this property.
 
-    Retry/backoff, pool rebuild/degradation, worker timeouts and
+    Retries, pool rebuild/degradation, worker timeouts and
     checkpoint/resume behave as in :func:`run_chunked`.  ``cache_key``
     is the caller's description of what determines the items (e.g.
     trace config + seed); when ``None`` the run is treated as

@@ -4,11 +4,11 @@ The chunked Monte-Carlo engines promise bit-identical results for a
 given ``(seed, n_samples, chunk_size)`` regardless of worker count.
 Wall-clock reads and OS entropy inside ``experiments``/``sim`` result
 paths silently break that promise (``time.perf_counter`` remains fine
-for *measuring* elapsed time — it never feeds results).  Retry and
-backoff paths (``experiments``/``sim``/``util``) must route waiting
-through the injectable :class:`repro.util.faults.RetryPolicy` sleep
-hook — a bare ``time.sleep`` makes recovery untestable and couples the
-supervisor to the wall clock.
+for *measuring* elapsed time — it never feeds results).  Recovery
+paths (``experiments``/``sim``/``util``) never wait on the wall clock:
+the supervisor retries a failed chunk at once and the watchdog reads
+an injectable clock, so a bare ``time.sleep`` there would only make
+recovery slow to test and couple the supervisor to the wall clock.
 
 RPR304 is performance hygiene rather than determinism: a head pop on a
 Python list shifts every remaining element, so ``pop(0)`` inside a loop
@@ -46,7 +46,7 @@ from repro.lint.violations import Violation
 #: Packages holding the deterministic result pipelines.
 DETERMINISTIC_PACKAGES: FrozenSet[str] = frozenset({"experiments", "sim"})
 
-#: Packages whose retry/backoff paths must use the injectable sleep hook.
+#: Packages whose recovery paths must not sleep on the wall clock.
 RETRY_PATH_PACKAGES: FrozenSet[str] = DETERMINISTIC_PACKAGES | {"util"}
 
 
@@ -134,24 +134,25 @@ class OsEntropyRule(Rule):
 
 @register
 class BareSleepRule(Rule):
-    """RPR303 — bare ``time.sleep`` in a retry/backoff path.
+    """RPR303 — bare ``time.sleep`` in a retry/recovery path.
 
-    Sleeping directly couples recovery to the wall clock and makes
-    every retry test take real seconds.  ``RetryPolicy`` carries an
-    injectable ``sleep`` callable precisely so supervisors stay
-    clock-free by default and tests can record delays instead of
-    serving them; calls through an injected callable (a parameter or
-    attribute named ``sleep``) are fine.
+    Recovery here does not wait: the supervisor resubmits a failed
+    chunk at once, and the watchdog measures its deadlines on an
+    injectable clock.  Sleeping directly couples recovery to the wall
+    clock and makes every test of it take real seconds.  Code that must
+    wait takes the sleep callable as a parameter, so tests can record
+    delays instead of serving them; calls through an injected callable
+    (a parameter or attribute named ``sleep``) are fine.
     """
 
     code = "RPR303"
     summary = (
-        "bare time.sleep bypasses the injectable RetryPolicy sleep hook; "
-        "accept a sleep callable (repro.util.faults.RetryPolicy) instead"
+        "bare time.sleep couples a recovery path to the wall clock; "
+        "retry at once or accept an injected sleep callable instead"
     )
     hint = (
-        "accept an injectable sleep callable so tests can record delays "
-        "instead of serving them"
+        "retry without waiting, or accept an injectable sleep callable so "
+        "tests can record delays instead of serving them"
     )
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterator[Violation]:

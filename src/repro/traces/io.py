@@ -66,11 +66,11 @@ def write_upload_trace(trace: UploadTrace, path: PathLike) -> None:
 def read_upload_trace(path: PathLike) -> UploadTrace:
     """Read an upload trace written by :func:`write_upload_trace`.
 
-    Raises ``ValueError`` on a malformed record, on a header without
-    ``building`` or with a ``snapshot_interval_s`` that is missing or
-    not a number, and on a record count that differs from the header's
-    ``count`` (headers written before it existed carry none and are not
-    checked).
+    Raises ``ValueError`` on a malformed record, on a header that is not
+    a JSON object, lacks ``building`` or has a ``snapshot_interval_s``
+    that is missing or not a number, and on a record count that differs
+    from the header's ``count`` (headers written before it existed carry
+    none and are not checked).
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -78,6 +78,8 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
         if not header_line:
             raise ValueError(f"{path}: empty trace file")
         header = json.loads(header_line)
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}:1: trace header is not a JSON object")
         if header.get("kind") != "upload-trace":
             raise ValueError(f"{path}: not an upload trace "
                              f"(kind={header.get('kind')!r})")
@@ -144,9 +146,11 @@ def write_downlink_measurements(measurements: List[DownlinkMeasurement],
 def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
     """Read a campaign written by :func:`write_downlink_measurements`.
 
-    Raises ``ValueError`` on a malformed record, and on a record count
-    that differs from the header's ``count``: a campaign cut at a line
-    boundary parses cleanly, so only the count shows it is torn.
+    Raises ``ValueError`` on a malformed record (a map field that is
+    not a JSON object included), on a header that is not a JSON object,
+    and on a record count that differs from the header's ``count``: a
+    campaign cut at a line boundary parses cleanly, so only the count
+    shows it is torn.
     """
     path = Path(path)
     measurements: List[DownlinkMeasurement] = []
@@ -155,6 +159,9 @@ def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
         if not header_line:
             raise ValueError(f"{path}: empty measurement file")
         header = json.loads(header_line)
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}:1: campaign header is not a JSON "
+                             f"object")
         if header.get("kind") != "downlink-measurements":
             raise ValueError(f"{path}: not a downlink campaign "
                              f"(kind={header.get('kind')!r})")
@@ -175,7 +182,8 @@ def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
                                     in record["clean_rate_bps"].items()},
                     interfered_rate_bps=interfered,
                 ))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, AttributeError) as exc:
+                # A map field given as a list or a string has no .items().
                 raise ValueError(f"{path}:{line_no}: malformed measurement "
                                  f"record") from exc
     count = header.get("count")

@@ -10,7 +10,7 @@ from repro.util.cache import ResultCache, array_digest, stable_hash
 from repro.util.cdf import EmpiricalCdf, fraction_at_least, gain_cdf_summary
 from repro.util.checkpoint import CheckpointStore
 from repro.util.containers import GridResult, SweepResult
-from repro.util.faults import FaultInjector, InjectedFault, RetryPolicy
+from repro.util.faults import FaultInjector, InjectedFault
 from repro.util.rng import make_rng, spawn_rngs, spawn_seed_sequences
 from repro.util.units import (
     db_to_linear,
@@ -32,7 +32,6 @@ __all__ = [
     "GridResult",
     "InjectedFault",
     "ResultCache",
-    "RetryPolicy",
     "SweepResult",
     "array_digest",
     "check_finite",

@@ -1,123 +1,55 @@
-"""Deterministic fault-tolerance primitives for the chunked engines.
+"""Deterministic chunk and pool fault injection for the chunked engines.
 
 Long Monte-Carlo sweeps die for boring reasons: an OOM-killed worker, a
 wedged process pool, a truncated cache entry.  The supervised executor
-(:mod:`repro.experiments.runner`) recovers from all of them, and this
-module supplies the two primitives it builds on:
+(:mod:`repro.experiments.runner`) recovers from all of them, retrying a
+failed chunk at once up to ``ExecutionPolicy.max_attempts`` times, and
+this module supplies the injector its recovery tests drive it with:
 
-* :class:`RetryPolicy` — a bounded retry budget with *deterministic*
-  exponential backoff.  The sleep hook is injectable (and ``None`` by
-  default), so no retry path ever touches the wall clock on its own;
-  tests pass a recording stub, production callers may pass
-  ``time.sleep``.
-* :class:`FaultInjector` — deterministically fails chosen chunk
-  invocations and pool rounds.  Decisions are keyed on
-  ``(engine, chunk_index, attempt)`` and hashed together with a seed —
-  no wall clock, no global randomness — so every recovery path is
-  replayable in tests, bit for bit.
+* :class:`FaultInjector` — fails the chunk invocations and pool rounds
+  a test names explicitly.  Decisions are pure functions of
+  ``(engine, chunk_index, attempt)`` and the pool round — no wall
+  clock, no randomness — so every recovery path replays bit for bit.
 
-Both objects are frozen dataclasses: hashable, picklable (they cross
+The injector is a frozen dataclass: hashable, picklable (it crosses
 the ``ProcessPoolExecutor`` boundary next to the chunk payload), and
 safe to share between supervisor and workers.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 
 class InjectedFault(RuntimeError):
     """Raised by :class:`FaultInjector` in place of a real worker crash."""
 
 
-def fault_draw(seed: int, engine: str, chunk_index: int, attempt: int) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` for one chunk invocation.
-
-    A SHA-256 of ``(seed, engine, chunk_index, attempt)`` keeps the
-    decision independent of call order, process, and platform — the
-    injector makes the same choice on every replay.
-    """
-    payload = f"{seed}:{engine}:{chunk_index}:{attempt}".encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with deterministic exponential backoff.
-
-    ``max_attempts`` counts *total* invocations of a chunk (so ``1``
-    means "never retry").  The backoff after failed attempt ``k``
-    (1-based) is ``backoff_base_s * backoff_factor ** (k - 1)`` capped
-    at ``backoff_max_s``; with the default ``backoff_base_s = 0`` no
-    waiting happens at all.  Waiting is delegated to the injectable
-    ``sleep`` callable — ``None`` (the default) skips sleeping entirely,
-    which keeps the policy clock-free unless a caller opts in.
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    sleep: Optional[Callable[[float], None]] = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0.0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be at least 1")
-        if self.backoff_max_s < 0.0:
-            raise ValueError("backoff_max_s must be non-negative")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff before retrying after failed ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt numbers are 1-based")
-        delay = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        return min(self.backoff_max_s, delay)
-
-    def wait(self, attempt: int) -> float:
-        """Sleep (via the injected hook) before retry; returns the delay."""
-        delay = self.backoff_s(attempt)
-        if delay > 0.0 and self.sleep is not None:
-            self.sleep(delay)
-        return delay
-
-
 @dataclass(frozen=True)
 class FaultInjector:
     """Deterministically fail chunk invocations and pool rounds.
 
-    Three failure sources compose (any of them firing fails the
-    invocation), each keyed on ``(engine, chunk_index, attempt)``:
+    Two failure sources compose (either firing fails the invocation),
+    each keyed on ``(engine, chunk_index, attempt)``:
 
     * ``fail_first_attempts`` — every chunk fails its first N attempts
       ("kill every chunk once" is ``fail_first_attempts=1``);
     * ``failures`` — an explicit set of
-      ``(engine, chunk_index, attempt)`` triples;
-    * ``chunk_failure_rate`` — a seeded hash-based Bernoulli draw per
-      invocation (:func:`fault_draw`), for soak-style testing.
+      ``(engine, chunk_index, attempt)`` triples.
 
     ``pool_break_rounds`` names the (0-based) pool rounds the supervisor
     must treat as a crashed ``ProcessPoolExecutor``; each break consumes
     one rebuild from the executor's budget.
     """
 
-    seed: int = 0
     fail_first_attempts: int = 0
     failures: FrozenSet[Tuple[str, int, int]] = frozenset()
-    chunk_failure_rate: float = 0.0
     pool_break_rounds: FrozenSet[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.fail_first_attempts < 0:
             raise ValueError("fail_first_attempts must be non-negative")
-        if not 0.0 <= self.chunk_failure_rate <= 1.0:
-            raise ValueError("chunk_failure_rate must be within [0, 1]")
         object.__setattr__(self, "failures", frozenset(self.failures))
         object.__setattr__(
             self, "pool_break_rounds", frozenset(self.pool_break_rounds))
@@ -126,12 +58,7 @@ class FaultInjector:
         """Whether this chunk invocation must fail (pure, replayable)."""
         if attempt <= self.fail_first_attempts:
             return True
-        if (engine, chunk_index, attempt) in self.failures:
-            return True
-        if self.chunk_failure_rate > 0.0:
-            draw = fault_draw(self.seed, engine, chunk_index, attempt)
-            return draw < self.chunk_failure_rate
-        return False
+        return (engine, chunk_index, attempt) in self.failures
 
     def check_chunk(self, engine: str, chunk_index: int, attempt: int) -> None:
         """Raise :class:`InjectedFault` when this invocation must fail."""

@@ -1,11 +1,12 @@
 """Deterministic filesystem fault injection for the persistence layer.
 
-PR 3 made *compute* fault-tolerant; this module makes the *storage*
-claims testable.  Every durable write in :mod:`repro.util.cache` and
-:mod:`repro.util.checkpoint` goes through two named **sites** — a
-``<thing>.write`` site (the tmp-file write) and a ``<thing>.replace``
-site (the atomic ``os.replace`` publish) — plus a ``.quarantine.replace``
-site per store for the corrupt-entry moves.  An active
+:mod:`repro.util.faults` kills *compute*; this module makes the
+*storage* claims testable.  Every durable write in
+:mod:`repro.util.cache` and :mod:`repro.util.checkpoint` goes through
+two named **sites** — a ``<thing>.write`` site (the tmp-file write)
+and a ``<thing>.replace`` site (the atomic ``os.replace`` publish) —
+plus a ``.quarantine.replace`` site per store for the corrupt-entry
+moves.  An active
 :class:`IoFaultInjector` intercepts those sites and injects one of the
 failure modes long-running sweeps actually die of:
 
@@ -23,9 +24,8 @@ failure modes long-running sweeps actually die of:
   error), exercising the swallowed-error recovery paths.
 
 Determinism: faults are planned as explicit ``(site, call_index,
-kind)`` rules, or drawn from a SHA-256 hash of ``(seed, site,
-call_index)`` — the same keyed-hash style as
-:class:`repro.util.faults.FaultInjector`.  No wall clock, no global
+kind)`` rules, like the explicit triples of
+:class:`repro.util.faults.FaultInjector`.  No wall clock, no
 randomness: a fault schedule replays bit-for-bit, so every crash-point
 test is reproducible.
 
@@ -44,7 +44,6 @@ swallowable by those same handlers.
 from __future__ import annotations
 
 import errno
-import hashlib
 import os
 import threading
 from dataclasses import dataclass
@@ -88,18 +87,6 @@ class SimulatedCrash(BaseException):
             f"(call {call_index}, fault {kind!r})")
 
 
-def io_fault_draw(seed: int, site: str, call_index: int) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` for one site invocation.
-
-    Same keyed-SHA-256 construction as
-    :func:`repro.util.faults.fault_draw`: independent of call order
-    across sites, process, and platform.
-    """
-    payload = f"{seed}:{site}:{call_index}".encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
 @dataclass(frozen=True)
 class IoFaultRule:
     """Fail call ``call_index`` (0-based, per site) of ``site`` with ``kind``."""
@@ -119,10 +106,8 @@ class IoFaultInjector:
     """Deterministically fail filesystem sites; record every invocation.
 
     ``rules`` are explicit ``(site, call_index, kind)`` triples — the
-    crash-point matrix uses exactly one per cell.  ``error_rate`` (with
-    ``seed``) adds keyed-hash Bernoulli ``IOERROR`` faults for
-    soak-style testing of the swallowed-error paths; rates never inject
-    crashes, so a soak run still terminates.
+    crash-point matrix uses exactly one per cell, and an injector with
+    none only records.
 
     Per-site call counters are plain in-process state: the persistence
     layer's site order is deterministic for a given workload, so the
@@ -130,16 +115,8 @@ class IoFaultInjector:
     coherent when worker threads share the injector.
     """
 
-    def __init__(self, rules: Tuple[IoFaultRule, ...] = (),
-                 error_rate: float = 0.0, seed: int = 0,
-                 sites: Optional[FrozenSet[str]] = None) -> None:
-        if not 0.0 <= error_rate <= 1.0:
-            raise ValueError("error_rate must be within [0, 1]")
+    def __init__(self, rules: Tuple[IoFaultRule, ...] = ()) -> None:
         self.rules = tuple(rules)
-        self.error_rate = error_rate
-        self.seed = seed
-        #: When given, rate-based faults only fire at these sites.
-        self.sites = sites
         self._counts: Dict[str, int] = {}
         self._lock = threading.Lock()
         #: Every site invocation seen: ``(site, call_index, kind-or-None)``.
@@ -160,9 +137,6 @@ class IoFaultInjector:
         for rule in self.rules:
             if rule.site == site and rule.call_index == call_index:
                 return rule.kind
-        if self.error_rate > 0.0 and (self.sites is None or site in self.sites):
-            if io_fault_draw(self.seed, site, call_index) < self.error_rate:
-                return IOERROR
         return None
 
     # -- the interception points ------------------------------------------

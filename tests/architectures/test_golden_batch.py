@@ -6,6 +6,8 @@ seed, chunk size and pool.  Dataclass equality compares every
 field exactly (no tolerances anywhere in this file).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.architectures.residential import (
     evaluate_residential_rows,
     evaluate_residential_rows_scalar,
 )
-from repro.phy.pathloss import LogDistancePathLoss
+from repro.phy.pathloss import FreeSpace, LogDistancePathLoss
 from repro.phy.shannon import Channel
 from repro.sic.scenarios import CASE_ORDER
 from repro.util.cache import ResultCache
@@ -29,6 +31,23 @@ from tests.conftest import run_pooled
 
 #: Timing-free runs must not leak results between parametrisations.
 NO_CACHE = ResultCache(None)
+
+
+@dataclass(frozen=True)
+class _ShadowedFreeSpace(FreeSpace):
+    """A shadowed model whose fading the batched sweeps do not replay."""
+
+    shadowing_sigma_db: float = 6.0
+
+
+def assert_rejected_before_any_draw(sweep, **kwargs):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError,
+                       match="shadowed _ShadowedFreeSpace is not supported"):
+        sweep(propagation=_ShadowedFreeSpace(), seed=rng, cache=NO_CACHE,
+              **kwargs)
+    assert rng.bit_generator.state == state
 
 
 def assert_reports_identical(fast, scalar):
@@ -97,6 +116,10 @@ class TestEwlanGolden:
         with pytest.raises(ValueError, match="at least one grid"):
             evaluate_ewlan_cross_pairs_scalar(n_grids=0)
 
+    def test_rejects_unreplayed_shadowed_model(self):
+        assert_rejected_before_any_draw(evaluate_ewlan_cross_pairs,
+                                        n_grids=4)
+
 
 class TestResidentialGolden:
     @pytest.mark.parametrize("seed", [1, 42, 2010])
@@ -148,6 +171,9 @@ class TestResidentialGolden:
             evaluate_residential_rows_scalar(n_rows=3, clients_per_home=0,
                                              seed=1)
 
+    def test_rejects_unreplayed_shadowed_model(self):
+        assert_rejected_before_any_draw(evaluate_residential_rows, n_rows=4)
+
 
 class TestMeshGolden:
     def test_bit_identical_default_grid(self):
@@ -179,3 +205,11 @@ class TestMeshGolden:
             sweep_chain_geometries(channel, (20.0,), (0.5,))
         with pytest.raises(ValueError):
             sweep_chain_geometries_scalar(channel, (20.0,), (0.5,))
+
+    def test_shadowed_model_raises_like_scalar(self):
+        # Neither sweep passes an rng, so shadowing cannot be drawn.
+        shadowed = LogDistancePathLoss(exponent=3.5, shadowing_sigma_db=6.0)
+        with pytest.raises(ValueError, match="requires an rng"):
+            sweep_chain_geometries(Channel(), propagation=shadowed)
+        with pytest.raises(ValueError, match="requires an rng"):
+            sweep_chain_geometries_scalar(Channel(), propagation=shadowed)

@@ -32,7 +32,7 @@ from repro.experiments.runner import (
 )
 from repro.util.cache import ResultCache
 from repro.util.checkpoint import CHECKPOINT_DIR_ENV
-from repro.util.faults import FaultInjector, RetryPolicy, always_failing
+from repro.util.faults import FaultInjector, always_failing
 from tests.conftest import run_pooled
 
 CONFIG = MonteCarloConfig(n_samples=300)
@@ -112,24 +112,9 @@ class TestDeterminismUnderFaults:
                 2, two_receiver_scenarios, CONFIG, seed=42,
                 chunk_size=CHUNK,
                 policy=ExecutionPolicy(
-                    retry=RetryPolicy(max_attempts=max_attempts),
+                    max_attempts=max_attempts,
                     faults=FaultInjector(fail_first_attempts=1)))
             assert np.array_equal(gains, ref), max_attempts
-
-    def test_backoff_goes_through_injected_sleep(self):
-        delays = []
-        policy = ExecutionPolicy(
-            retry=RetryPolicy(backoff_base_s=0.25, backoff_factor=2.0,
-                              sleep=delays.append),
-            faults=FaultInjector(failures={
-                ("two_receiver_scenarios", 1, 1),
-                ("two_receiver_scenarios", 1, 2),
-            }))
-        ref, _ = two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK)
-        gains, _ = two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK,
-                                          policy=policy)
-        assert np.array_equal(gains, ref)
-        assert delays == [0.25, 0.5]  # deterministic exponential ladder
 
 
 class TestDegradation:
@@ -167,7 +152,7 @@ class TestDegradation:
 class TestRetryExhaustion:
     def test_raises_structured_chunk_error(self):
         policy = ExecutionPolicy(
-            retry=RetryPolicy(max_attempts=2),
+            max_attempts=2,
             faults=always_failing("two_receiver_scenarios", 2,
                                   max_attempts=2))
         with pytest.raises(ChunkExecutionError) as excinfo:
@@ -176,6 +161,20 @@ class TestRetryExhaustion:
         assert excinfo.value.engine == "two_receiver_scenarios"
         assert excinfo.value.chunk_index == 2
         assert excinfo.value.attempts == 2
+
+    def test_default_budget_is_three_attempts(self):
+        assert ExecutionPolicy().max_attempts == 3
+        policy = ExecutionPolicy(
+            faults=always_failing("two_receiver_scenarios", 2))
+        with pytest.raises(ChunkExecutionError) as excinfo:
+            two_receiver_scenarios(CONFIG, seed=42, chunk_size=CHUNK,
+                                   policy=policy)
+        assert excinfo.value.attempts == 3
+
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_rejects_max_attempts_below_one(self, attempts):
+        with pytest.raises(ValueError, match="max_attempts"):
+            ExecutionPolicy(max_attempts=attempts)
 
 
 class TestCheckpointResume:

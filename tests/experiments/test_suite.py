@@ -8,6 +8,7 @@ chunk size, or interleaving.  Chunks are pure functions of
 figure's chunk layout, so only *where* chunks execute moves.
 """
 
+import multiprocessing
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -21,7 +22,6 @@ from repro.experiments import fig6, fig11, fig12, fig13
 from repro.experiments.runner import ExecutionPolicy, SuitePool, run_chunked
 from repro.experiments.suite import run_suite
 from repro.experiments.transport import TransportPolicy, active_segments
-from repro.util.faults import RetryPolicy
 
 
 def _square(x):
@@ -49,6 +49,15 @@ def _nap_chunk(config, seed, n):
 
 
 class TestSuitePool:
+    def test_workers_fork_before_any_chunk(self):
+        # Figure threads start only after the pool returns, so every
+        # worker must already exist by then.
+        before = set(multiprocessing.active_children())
+        with SuitePool(2) as pool:
+            forked = set(multiprocessing.active_children()) - before
+            assert len(forked) == 2
+            assert pool.stats()["tasks_done"] == 0
+
     def test_submit_through_round(self):
         with SuitePool(2) as pool:
             handle = pool.open_round("lane")
@@ -148,8 +157,7 @@ class TestSuitePool:
         # as failed chunks (ChunkExecutionError).
         outcome = {}
         with SuitePool(1) as pool:
-            policy = ExecutionPolicy(retry=RetryPolicy(max_attempts=1),
-                                     pool=pool)
+            policy = ExecutionPolicy(max_attempts=1, pool=pool)
             thread = threading.Thread(target=lambda: outcome.update(
                 out=run_chunked("victim", _nap_chunk, _NapCfg(), 5,
                                 code_version=0, chunk_size=1,

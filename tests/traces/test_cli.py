@@ -126,6 +126,18 @@ class TestInspectCommand:
         assert rc == EXIT_CORRUPT_STATE
         assert "malformed trace header" in capsys.readouterr().err
 
+    def test_inspect_list_valued_map_is_corrupt_state(self, tmp_path,
+                                                      capsys):
+        odd = tmp_path / "odd.jsonl"
+        odd.write_text(
+            '{"kind": "downlink-measurements", "count": 1}\n'
+            '{"location": "L0", "snr_db": {"AP1": 20.0}, '
+            '"clean_rate_bps": {"AP1": 1e6}, '
+            '"interfered_rate_bps": [1, 2]}\n')
+        rc = run_cli("repro-traces", lambda: main(["inspect", str(odd)]))
+        assert rc == EXIT_CORRUPT_STATE
+        assert ":2: malformed measurement record" in capsys.readouterr().err
+
     def test_inspect_torn_header_is_corrupt_state(self, tmp_path, capsys):
         torn = tmp_path / "torn.jsonl"
         torn.write_text('{"kind": "upload-tr')  # half a JSON header

@@ -58,6 +58,12 @@ class TestUploadRoundTrip:
         with pytest.raises(ValueError, match="empty"):
             read_upload_trace(path)
 
+    def test_list_header_rejected(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text(json.dumps(["upload-trace"]) + "\n")
+        with pytest.raises(ValueError, match=":1: trace header is not"):
+            read_upload_trace(path)
+
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -138,6 +144,26 @@ class TestDownlinkRoundTrip:
         write_upload_trace(trace, upload_path)
         with pytest.raises(ValueError, match="not a downlink"):
             read_downlink_measurements(upload_path)
+
+    def test_list_header_rejected(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text(json.dumps(["downlink-measurements"]) + "\n")
+        with pytest.raises(ValueError, match=":1: campaign header is not"):
+            read_downlink_measurements(path)
+
+    @pytest.mark.parametrize("field", ["snr_db", "clean_rate_bps",
+                                       "interfered_rate_bps"])
+    def test_map_field_given_as_list_rejected(self, field, campaign,
+                                              tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        write_downlink_measurements(campaign, path)
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record[field] = [1, 2]
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=":2: malformed measurement"):
+            read_downlink_measurements(path)
 
     def test_empty_campaign(self, tmp_path):
         path = tmp_path / "none.jsonl"

@@ -1,55 +1,10 @@
-"""RetryPolicy and FaultInjector: deterministic, clock-free, picklable."""
+"""FaultInjector: deterministic, clock-free, picklable."""
 
 import pickle
 
 import pytest
 
-from repro.util.faults import (
-    FaultInjector,
-    InjectedFault,
-    RetryPolicy,
-    always_failing,
-    fault_draw,
-)
-
-
-class TestRetryPolicy:
-    def test_defaults_never_sleep(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts == 3
-        assert policy.wait(1) == 0.0  # no base, no hook: pure no-op
-
-    @pytest.mark.parametrize("bad", [
-        dict(max_attempts=0),
-        dict(backoff_base_s=-1.0),
-        dict(backoff_factor=0.5),
-        dict(backoff_max_s=-0.1),
-    ])
-    def test_rejects_bad_parameters(self, bad):
-        with pytest.raises(ValueError):
-            RetryPolicy(**bad)
-
-    def test_backoff_is_deterministic_exponential(self):
-        policy = RetryPolicy(backoff_base_s=0.5, backoff_factor=2.0,
-                             backoff_max_s=4.0)
-        delays = [policy.backoff_s(attempt) for attempt in range(1, 6)]
-        assert delays == [0.5, 1.0, 2.0, 4.0, 4.0]  # capped at max
-
-    def test_attempts_are_one_based(self):
-        with pytest.raises(ValueError):
-            RetryPolicy().backoff_s(0)
-
-    def test_wait_routes_through_injected_sleep(self):
-        recorded = []
-        policy = RetryPolicy(backoff_base_s=1.0, sleep=recorded.append)
-        assert policy.wait(2) == 2.0
-        assert recorded == [2.0]
-
-    def test_zero_delay_never_calls_the_hook(self):
-        recorded = []
-        policy = RetryPolicy(backoff_base_s=0.0, sleep=recorded.append)
-        policy.wait(1)
-        assert recorded == []
+from repro.util.faults import FaultInjector, InjectedFault, always_failing
 
 
 class TestFaultInjector:
@@ -75,28 +30,6 @@ class TestFaultInjector:
         with pytest.raises(InjectedFault, match="chunk=4 attempt=1"):
             injector.check_chunk("e", 4, 1)
 
-    def test_rate_draws_are_deterministic(self):
-        a = FaultInjector(seed=7, chunk_failure_rate=0.5)
-        b = FaultInjector(seed=7, chunk_failure_rate=0.5)
-        decisions_a = [a.should_fail("e", i, 1) for i in range(64)]
-        decisions_b = [b.should_fail("e", i, 1) for i in range(64)]
-        assert decisions_a == decisions_b
-        assert any(decisions_a) and not all(decisions_a)
-
-    def test_rate_extremes(self):
-        never = FaultInjector(chunk_failure_rate=0.0)
-        always = FaultInjector(chunk_failure_rate=1.0)
-        assert not any(never.should_fail("e", i, 2) for i in range(16))
-        assert all(always.should_fail("e", i, 2) for i in range(16))
-
-    def test_draws_keyed_on_engine_chunk_attempt(self):
-        draws = {fault_draw(0, engine, chunk, attempt)
-                 for engine in ("a", "b")
-                 for chunk in (0, 1)
-                 for attempt in (1, 2)}
-        assert len(draws) == 8  # all distinct keys, all distinct draws
-        assert all(0.0 <= d < 1.0 for d in draws)
-
     def test_pool_break_rounds(self):
         injector = FaultInjector(pool_break_rounds={0, 2})
         assert injector.should_break_pool(0)
@@ -105,12 +38,10 @@ class TestFaultInjector:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultInjector(chunk_failure_rate=1.5)
-        with pytest.raises(ValueError):
             FaultInjector(fail_first_attempts=-1)
 
     def test_picklable_across_process_boundary(self):
-        injector = FaultInjector(seed=3, fail_first_attempts=1,
+        injector = FaultInjector(fail_first_attempts=1,
                                  failures={("e", 1, 2)},
                                  pool_break_rounds={0})
         clone = pickle.loads(pickle.dumps(injector))

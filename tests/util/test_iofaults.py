@@ -16,26 +16,8 @@ from repro.util.iofaults import (
     IoFaultInjector,
     IoFaultRule,
     SimulatedCrash,
-    io_fault_draw,
     single_fault,
 )
-
-
-class TestDraws:
-    def test_deterministic(self):
-        assert io_fault_draw(7, "cache.payload.write", 3) == \
-            io_fault_draw(7, "cache.payload.write", 3)
-
-    def test_keyed_on_every_component(self):
-        base = io_fault_draw(7, "a.write", 0)
-        assert io_fault_draw(8, "a.write", 0) != base
-        assert io_fault_draw(7, "b.write", 0) != base
-        assert io_fault_draw(7, "a.write", 1) != base
-
-    def test_uniform_range(self):
-        draws = [io_fault_draw(1, "s", i) for i in range(200)]
-        assert all(0.0 <= d < 1.0 for d in draws)
-        assert 0.3 < sum(draws) / len(draws) < 0.7
 
 
 class TestRules:
@@ -46,10 +28,6 @@ class TestRules:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             IoFaultRule("s.write", 0, "meteor")
-
-    def test_bad_error_rate_rejected(self):
-        with pytest.raises(ValueError):
-            IoFaultInjector(error_rate=1.5)
 
 
 class TestWriteFaults:
@@ -133,27 +111,6 @@ class TestRecording:
         with pytest.raises(OSError):
             injector.on_write("a.write", tmp_path / "t")
         assert injector.fired() == [("a.write", 1, ENOSPC)]
-
-    def test_rate_faults_replay_bit_identically(self, tmp_path):
-        def soak():
-            injector = IoFaultInjector(error_rate=0.3, seed=11)
-            for index in range(50):
-                try:
-                    injector.on_write("s.write", tmp_path / "t")
-                except OSError:
-                    pass
-            return injector.fired()
-
-        first, second = soak(), soak()
-        assert first == second
-        assert first  # 30% of 50 calls: some must fire
-
-    def test_rate_faults_respect_site_filter(self, tmp_path):
-        injector = IoFaultInjector(error_rate=1.0, seed=1,
-                                   sites=frozenset({"a.write"}))
-        injector.on_write("b.write", tmp_path / "t")  # filtered: clean
-        with pytest.raises(OSError):
-            injector.on_write("a.write", tmp_path / "t")
 
 
 class TestActivation:
