@@ -25,8 +25,8 @@ merely hide the hazard until someone adds a mutable field.  Default to
 RPR306 is durability hygiene: a bare ``open(path, "w")`` or
 ``Path.write_text`` publishes bytes under the final name while they are
 still being written, so a crash mid-write leaves a torn file that later
-reads as valid.  Durable writes must go through the atomic helpers
-(``repro.util.cache.atomic_write_*``: tmp file + ``os.replace``), which
+reads as valid.  Durable writes must go through
+``repro.util.cache.atomic_open`` (tmp file + ``os.replace``), which
 also gives them named fault-injection sites the crash-point matrix can
 kill.  The tmp half of an atomic writer is the one legitimate raw write
 and carries the suppression pragma.
@@ -304,19 +304,19 @@ class NonAtomicWriteRule(Rule):
     in flight: a crash mid-write leaves a torn file that a later run
     may read as valid, and the write is invisible to the I/O
     fault-injection sites the crash-point matrix enumerates.  Route
-    durable writes through ``repro.util.cache.atomic_write_bytes`` /
-    ``atomic_write_text`` / ``atomic_write_npz`` (or an equivalent
-    tmp + ``os.replace`` writer whose raw half carries the pragma).
+    durable writes through ``repro.util.cache.atomic_open`` (or its
+    text wrapper ``atomic_write_text``), or an equivalent tmp +
+    ``os.replace`` writer whose raw half carries the pragma.
     """
 
     code = "RPR306"
     summary = (
         "raw write to a durable path (torn on crash, invisible to fault "
-        "injection); use repro.util.cache.atomic_write_* instead"
+        "injection); use repro.util.cache.atomic_open instead"
     )
     hint = (
-        "write via atomic_write_text/bytes/npz, or stream into a tmp "
-        "file published with os.replace and suppress the tmp write"
+        "stream into repro.util.cache.atomic_open(path, site), or into a "
+        "tmp file published with os.replace and suppress the tmp write"
     )
 
     _WRITERS = frozenset({"write_text", "write_bytes"})

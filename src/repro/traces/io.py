@@ -4,18 +4,18 @@ One JSON object per line: upload traces carry a header line followed by
 one line per AP snapshot; downlink campaigns carry one line per
 location.  JSONL keeps multi-week traces streamable and diff-friendly.
 
-Writers stream into a tmp file and publish with ``os.replace``, so a
-process dying mid-write never leaves a torn trace under the final
-name — readers either see the previous complete file or the new one.
+Writers stream through :func:`repro.util.cache.atomic_open` under the
+``trace`` I/O site, so a process dying mid-write never leaves a torn
+trace under the final name — readers either see the previous complete
+file or the new one.  Readers report every malformed line, header
+included, as a ``ValueError`` naming the file and the line.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, TextIO, Union
+from typing import List, Union
 
 from repro.traces.records import (
     ApSnapshot,
@@ -23,63 +23,62 @@ from repro.traces.records import (
     DownlinkMeasurement,
     UploadTrace,
 )
+from repro.util.cache import atomic_open
 
 PathLike = Union[str, Path]
 
 
-@contextmanager
-def _atomic_open(path: Path) -> Iterator[TextIO]:
-    """Stream text into ``path`` via tmp file + atomic ``os.replace``."""
-    tmp_path = path.with_name(f"{path.name}.tmp{os.getpid()}")
+def _line(record: object) -> bytes:
+    return (json.dumps(record) + "\n").encode("utf-8")
+
+
+def _header(path: Path, header_line: str, what: str) -> dict:
+    """The parsed header line, or ``ValueError`` naming line 1."""
     try:
-        # The tmp half of an atomic publish is the legitimate raw write.
-        with tmp_path.open("w", encoding="utf-8") as fh:  # repro-lint: disable=RPR306
-            yield fh
-        os.replace(tmp_path, path)
-    finally:
-        try:
-            tmp_path.unlink()
-        except OSError:
-            pass
+        header = json.loads(header_line)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: malformed {what} header") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}:1: {what} header is not a JSON object")
+    return header
 
 
 def write_upload_trace(trace: UploadTrace, path: PathLike) -> None:
     """Write an upload trace as JSONL (header + one line per snapshot)."""
     path = Path(path)
-    with _atomic_open(path) as fh:
+    with atomic_open(path, site="trace") as fh:
         header = {
             "kind": "upload-trace",
             "building": trace.building,
             "snapshot_interval_s": trace.snapshot_interval_s,
             "count": len(trace),
         }
-        fh.write(json.dumps(header) + "\n")
+        fh.write(_line(header))
         for snap in trace.snapshots:
             record = {
                 "ap": snap.ap,
                 "timestamp_s": snap.timestamp_s,
                 "clients": [[c.client, c.rssi_dbm] for c in snap.clients],
             }
-            fh.write(json.dumps(record) + "\n")
+            fh.write(_line(record))
 
 
 def read_upload_trace(path: PathLike) -> UploadTrace:
     """Read an upload trace written by :func:`write_upload_trace`.
 
-    Raises ``ValueError`` on a malformed record, on a header that is not
-    a JSON object, lacks ``building`` or has a ``snapshot_interval_s``
-    that is missing or not a number, and on a record count that differs
-    from the header's ``count`` (headers written before it existed carry
-    none and are not checked).
+    Raises ``ValueError`` on a malformed record (a line that does not
+    parse, or a field that does not convert, named by its file line), on
+    a header that is not a JSON object, lacks ``building`` or has a
+    ``snapshot_interval_s`` that is missing or not a number, and on a
+    record count that differs from the header's ``count`` (headers
+    written before it existed carry none and are not checked).
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"{path}: empty trace file")
-        header = json.loads(header_line)
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}:1: trace header is not a JSON object")
+        header = _header(path, header_line, "trace")
         if header.get("kind") != "upload-trace":
             raise ValueError(f"{path}: not an upload trace "
                              f"(kind={header.get('kind')!r})")
@@ -98,8 +97,8 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
             try:
+                record = json.loads(line)
                 snapshots.append(ApSnapshot(
                     ap=record["ap"],
                     timestamp_s=float(record["timestamp_s"]),
@@ -107,7 +106,7 @@ def read_upload_trace(path: PathLike) -> UploadTrace:
                         ClientObservation(client=c[0], rssi_dbm=float(c[1]))
                         for c in record["clients"]),
                 ))
-            except (KeyError, IndexError, TypeError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed snapshot "
                                  f"record") from exc
     count = header.get("count")
@@ -125,9 +124,9 @@ def write_downlink_measurements(measurements: List[DownlinkMeasurement],
                                 path: PathLike) -> None:
     """Write a downlink campaign as JSONL (one line per location)."""
     path = Path(path)
-    with _atomic_open(path) as fh:
+    with atomic_open(path, site="trace") as fh:
         header = {"kind": "downlink-measurements", "count": len(measurements)}
-        fh.write(json.dumps(header) + "\n")
+        fh.write(_line(header))
         for m in measurements:
             record = {
                 "location": m.location,
@@ -140,14 +139,15 @@ def write_downlink_measurements(measurements: List[DownlinkMeasurement],
                     in m.interfered_rate_bps.items()
                 },
             }
-            fh.write(json.dumps(record) + "\n")
+            fh.write(_line(record))
 
 
 def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
     """Read a campaign written by :func:`write_downlink_measurements`.
 
-    Raises ``ValueError`` on a malformed record (a map field that is
-    not a JSON object included), on a header that is not a JSON object,
+    Raises ``ValueError`` on a malformed record (named by its file
+    line; a map field that is not a JSON object included), on a header
+    that is not a JSON object,
     and on a record count that differs from the header's ``count``: a
     campaign cut at a line boundary parses cleanly, so only the count
     shows it is torn.
@@ -158,10 +158,7 @@ def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"{path}: empty measurement file")
-        header = json.loads(header_line)
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}:1: campaign header is not a JSON "
-                             f"object")
+        header = _header(path, header_line, "campaign")
         if header.get("kind") != "downlink-measurements":
             raise ValueError(f"{path}: not a downlink campaign "
                              f"(kind={header.get('kind')!r})")
@@ -169,8 +166,8 @@ def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
             try:
+                record = json.loads(line)
                 interfered = {}
                 for key, rate in record["interfered_rate_bps"].items():
                     serving, _, interferer = key.partition("|")
@@ -182,7 +179,7 @@ def read_downlink_measurements(path: PathLike) -> List[DownlinkMeasurement]:
                                     in record["clean_rate_bps"].items()},
                     interfered_rate_bps=interfered,
                 ))
-            except (KeyError, TypeError, AttributeError) as exc:
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 # A map field given as a list or a string has no .items().
                 raise ValueError(f"{path}:{line_no}: malformed measurement "
                                  f"record") from exc

@@ -1,4 +1,5 @@
-"""Deterministic on-disk cache for Monte-Carlo results.
+"""Deterministic on-disk cache for Monte-Carlo results, and the entry
+format it shares with the checkpoint store.
 
 The batched Monte-Carlo engines are pure functions of
 ``(engine name, config, seed, code version)``: running one twice with
@@ -7,34 +8,36 @@ results safe to memoise on disk — figure modules and benchmarks can
 reuse the 10 000-draw sample sets instead of recomputing them.
 
 Keys are built from a canonical JSON rendering of the key parts and
-hashed with SHA-256; each entry is one ``<hash>.npz`` file (the arrays)
-plus one ``<hash>.json`` sidecar (the human-readable key and the
-entry's content digest).  Invalidation is by construction: any change
-to the config, the seed, or the engine's ``code_version`` constant
-changes the hash, so stale entries are simply never read again.
+hashed with SHA-256; each entry is one ``<hash>.npz`` payload (the
+arrays) plus one ``<hash>.json`` sidecar (the human-readable key and
+the payload's content digest).  Invalidation is by construction: any
+change to the config, the seed, or the engine's ``code_version``
+constant changes the hash, so stale entries are simply never read
+again.
 
-Integrity: every ``put`` stores a SHA-256 digest of the array
-*contents* (:func:`array_digest`) in the sidecar, and every ``get``
-verifies it after loading.  An entry that fails to load or fails
-verification is **quarantined** — moved (never deleted) into a
-``corrupt/`` subdirectory for post-mortem inspection — counted on
-:attr:`ResultCache.quarantined`, and reported as a miss so callers
+One entry format serves this cache and :mod:`repro.util.checkpoint`.
+:func:`write_entry` publishes the payload, then a sidecar holding the
+caller's metadata plus the :func:`array_digest` of the arrays.
+:func:`read_entry` returns the arrays only when the sidecar parses as
+a JSON object whose ``sha256`` equals the digest of the payload it
+loads.  Anything else present is corrupt: an unreadable payload; a
+sidecar that is missing, does not parse, is not an object or lacks the
+digest; a digest mismatch; or a sidecar without its payload.  A
+corrupt entry is **quarantined** — moved (never deleted) into a
+``corrupt/`` subdirectory for post-mortem inspection — counted on the
+store's ``quarantined`` attribute, and read as a miss so callers
 recompute.  Quarantined files are renamed with a short digest of their
 content, so quarantining the same entry name twice (e.g. across two
 resumed runs) preserves both generations instead of clobbering.
-Orphaned halves are corrupt too: a payload whose sidecar file vanished,
-or a sidecar whose payload vanished, is quarantined and recomputed — a
-sidecar that exists but predates content digests still loads
-unverified, so old caches never hit a flag day.  Both the payload and
-the sidecar are written via tmp-file + ``os.replace``, so a crash
-mid-write can never leave a half-written entry that later reads as
-valid.
 
-Every durable write and publish runs through a named **I/O site**
-(``cache.payload.write``, ``cache.payload.replace``, ...) intercepted
-by :mod:`repro.util.iofaults`, which is how the crash-point matrix
-(:mod:`repro.util.crashmatrix`) simulates torn writes, ``ENOSPC`` and
-process death at every one of these boundaries.
+Every durable file of the package publishes through
+:func:`atomic_open`: it streams into a tmp file and publishes with
+``os.replace``, so a crash mid-write never leaves a half-written file
+under the final name.  Its ``<site>.write`` and ``<site>.replace`` I/O
+sites (``cache.payload.write``, ``cache.payload.replace``, ...) are
+intercepted by :mod:`repro.util.iofaults`, which is how the crash-point
+matrix (:mod:`repro.util.crashmatrix`) simulates torn writes,
+``ENOSPC`` and process death at every one of these boundaries.
 
 The cache root resolves in this order:
 
@@ -50,9 +53,9 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +67,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Subdirectory (of a cache/checkpoint root) holding quarantined entries.
 QUARANTINE_DIRNAME = "corrupt"
 
-#: Exceptions ``np.load`` raises on truncated or non-npz payloads.
+#: Exceptions reading an entry raises on torn, foreign or missing files.
 _LOAD_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, KeyError)
 
 
@@ -111,42 +114,15 @@ def array_digest(arrays: Mapping[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def atomic_write_bytes(path: Path, payload: bytes,
-                       site: str = "io") -> None:
-    """Write ``payload`` to ``path`` via tmp file + atomic ``os.replace``.
+@contextmanager
+def atomic_open(path: Path, site: str) -> Iterator[BinaryIO]:
+    """Stream bytes into ``path`` via tmp file + atomic ``os.replace``.
 
-    ``site`` names the I/O boundary for fault injection: the tmp write
-    runs through ``<site>.write`` and the publish through
-    ``<site>.replace`` (see :mod:`repro.util.iofaults`).
-    """
-    tmp_path = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        iofaults.trip_write(f"{site}.write", tmp_path)
-        # The atomic-write helper is the one legitimate raw write site.
-        tmp_path.write_bytes(payload)  # repro-lint: disable=RPR306
-        iofaults.checked_replace(f"{site}.replace", tmp_path, path)
-    finally:
-        _unlink_quietly(tmp_path)
-
-
-def atomic_write_text(path: Path, text: str, site: str = "io") -> None:
-    """Text flavour of :func:`atomic_write_bytes` (UTF-8)."""
-    atomic_write_bytes(path, text.encode("utf-8"), site=site)
-
-
-def atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray],
-                     site: str = "io") -> None:
-    """Write named arrays as one npz via tmp file + atomic ``os.replace``.
-
-    Shared by the result cache and the checkpoint store so both expose
-    the same ``<site>.write`` / ``<site>.replace`` fault-injection
-    boundaries around their payloads.
-
-    Members are stored, not deflated (``np.savez``): deflating float
-    arrays took over ten times as long as storing them, for files about
-    a third the size (see ``docs/resilience.md``).  ``np.load`` reads
-    stored and deflated members alike, so deflated entries written by
-    earlier versions still load.
+    Readers see the previous file or the complete new one, never a torn
+    one.  ``site`` names the I/O boundary for fault injection: the tmp
+    write runs through ``<site>.write`` and the publish through
+    ``<site>.replace`` (see :mod:`repro.util.iofaults`).  The tmp file
+    is gone afterwards, published or not.
 
     An error raised while an interrupt (``KeyboardInterrupt``,
     ``ResumableInterrupt``) unwinds gives way to the interrupt, so
@@ -158,9 +134,9 @@ def atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray],
     tmp_path = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         iofaults.trip_write(f"{site}.write", tmp_path)
-        # Streaming into the tmp half of an atomic publish.
+        # The tmp half of the atomic publish is the one raw write.
         with open(tmp_path, "wb") as handle:  # repro-lint: disable=RPR306
-            np.savez(handle, **dict(arrays))
+            yield handle
         iofaults.checked_replace(f"{site}.replace", tmp_path, path)
     except Exception as exc:
         if exc.__context__ is not None \
@@ -169,6 +145,68 @@ def atomic_write_npz(path: Path, arrays: Mapping[str, np.ndarray],
         raise
     finally:
         _unlink_quietly(tmp_path)
+
+
+def atomic_write_text(path: Path, text: str, site: str = "io") -> None:
+    """Publish ``text`` (UTF-8) at ``path`` through :func:`atomic_open`."""
+    with atomic_open(path, site) as handle:
+        handle.write(text.encode("utf-8"))
+
+
+def write_entry(data_path: Path, meta_path: Path,
+                arrays: Mapping[str, np.ndarray],
+                meta: Mapping[str, object], site: str) -> None:
+    """Publish one entry: the ``.npz`` payload, then its sidecar.
+
+    The sidecar is ``meta`` plus ``sha256``, the :func:`array_digest`
+    of ``arrays``.  A crash between the two publishes leaves a payload
+    without its sidecar, which :func:`read_entry` quarantines.  The
+    writes run through the ``<site>.payload`` and ``<site>.sidecar``
+    I/O sites; filesystem errors propagate.
+
+    Members are stored, not deflated (``np.savez``): deflating float
+    arrays took over ten times as long as storing them, for files about
+    a third the size (see ``docs/resilience.md``).  ``np.load`` reads
+    stored and deflated members alike, so deflated entries written by
+    earlier versions still load.
+    """
+    with atomic_open(data_path, f"{site}.payload") as handle:
+        np.savez(handle, **dict(arrays))
+    sidecar = {**meta, "sha256": array_digest(arrays)}
+    atomic_write_text(meta_path, json.dumps(sidecar, sort_keys=True, indent=1),
+                      site=f"{site}.sidecar")
+
+
+def read_entry(data_path: Path, meta_path: Path,
+               quarantine: Callable[..., None]
+               ) -> Optional[Dict[str, np.ndarray]]:
+    """The arrays of one verified entry, or ``None`` on a miss.
+
+    Verified means the sidecar parses as a JSON object whose ``sha256``
+    equals the :func:`array_digest` of the payload's arrays.  With
+    neither file present the entry is a plain miss; any other
+    unverified entry is a miss whose present files go to
+    ``quarantine(*paths)`` together, so no stale half can pair up with
+    a later write.
+    """
+    present = [path for path in (data_path, meta_path) if path.exists()]
+    if not present:
+        return None
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        archive = np.load(data_path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError(f"{data_path} holds a bare array, not an .npz")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files}
+        verified = (isinstance(meta, dict)
+                    and meta.get("sha256") == array_digest(arrays))
+    except _LOAD_ERRORS:
+        verified = False
+    if not verified:
+        quarantine(*present)
+        return None
+    return arrays
 
 
 def _quarantine_name(path: Path) -> str:
@@ -228,14 +266,6 @@ def _unlink_quietly(path: Path) -> None:
         pass
 
 
-@dataclass(frozen=True)
-class ClearResult:
-    """Counts from :meth:`ResultCache.clear`, quarantine kept separate."""
-
-    removed: int
-    quarantined: int
-
-
 class ResultCache:
     """Content-addressed store of named float arrays.
 
@@ -246,8 +276,7 @@ class ResultCache:
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root) if root is not None else None
-        #: Entries this instance moved to ``corrupt/`` (digest mismatch
-        #: or unreadable payload).
+        #: Entries this instance moved to ``corrupt/``.
         self.quarantined = 0
 
     @classmethod
@@ -265,22 +294,6 @@ class ResultCache:
         assert self.root is not None
         return (self.root / f"{digest}.npz", self.root / f"{digest}.json")
 
-    def _expected_digest(self, meta_path: Path) -> Optional[str]:
-        """The content digest recorded in the sidecar, if any.
-
-        Entries whose sidecar predates content digests (present and
-        readable, no ``sha256`` field) return ``None`` and are loaded
-        unverified — integrity is opt-in per entry, never a flag-day
-        for existing caches.  A *missing or unreadable* sidecar is the
-        orphaned-payload case and is handled as corrupt by ``get``.
-        """
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        digest = meta.get("sha256") if isinstance(meta, dict) else None
-        return digest if isinstance(digest, str) else None
-
     def _quarantine(self, *paths: Path) -> None:
         assert self.root is not None
         if quarantine_paths(self.root, *paths, site="cache.quarantine"):
@@ -288,40 +301,18 @@ class ResultCache:
 
     def get(self, key_parts: Mapping[str, object]
             ) -> Optional[Dict[str, np.ndarray]]:
-        """The stored arrays for this key, or ``None`` on a miss.
+        """The verified arrays for this key, or ``None`` on a miss.
 
-        A corrupt entry is quarantined and reported as a miss.  Corrupt
-        means: unreadable npz, content digest differing from the
-        sidecar's, or an orphaned half — payload without its sidecar
-        *file* (a crash between the two publishes), or sidecar without
-        its payload.  Both halves are quarantined together so no stale
-        remnant can pair up with a later write.
+        A corrupt entry is quarantined and read as a miss
+        (:func:`read_entry`).
         """
         if not self.enabled:
             return None
-        data_path, meta_path = self._paths(key_parts)
-        if not data_path.exists():
-            if meta_path.exists():  # orphaned sidecar: quarantine, miss
-                self._quarantine(meta_path)
-            return None
-        if not meta_path.exists():  # orphaned payload: quarantine, miss
-            self._quarantine(data_path)
-            return None
-        try:
-            with np.load(data_path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except _LOAD_ERRORS:
-            self._quarantine(data_path, meta_path)
-            return None
-        expected = self._expected_digest(meta_path)
-        if expected is not None and array_digest(arrays) != expected:
-            self._quarantine(data_path, meta_path)
-            return None
-        return arrays
+        return read_entry(*self._paths(key_parts), self._quarantine)
 
     def put(self, key_parts: Mapping[str, object],
             arrays: Mapping[str, np.ndarray]) -> None:
-        """Store ``arrays`` under the key (payload *and* sidecar atomic).
+        """Store ``arrays`` under the key; the sidecar holds the key.
 
         Filesystem failures (unwritable root, disk full, ...) are
         swallowed: the cache is an optimisation, and a failed write
@@ -332,42 +323,7 @@ class ResultCache:
         assert self.root is not None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            data_path, meta_path = self._paths(key_parts)
-            atomic_write_npz(data_path, arrays, site="cache.payload")
-            meta = dict(_canonical(key_parts))
-            meta["sha256"] = array_digest(arrays)
-            atomic_write_text(meta_path,
-                              json.dumps(meta, sort_keys=True, indent=1),
-                              site="cache.sidecar")
+            write_entry(*self._paths(key_parts), arrays,
+                        _canonical(key_parts), site="cache")
         except OSError:
             return
-
-    def clear(self) -> ClearResult:
-        """Delete every entry; quarantined entries counted separately.
-
-        Skips subdirectories and foreign files, and tolerates entries
-        deleted concurrently by another process.
-        """
-        if not self.enabled or not self.root.exists():
-            return ClearResult(0, 0)
-        removed = _clear_entries(self.root)
-        quarantined = _clear_entries(self.root / QUARANTINE_DIRNAME)
-        return ClearResult(removed, quarantined)
-
-
-def _clear_entries(directory: Path) -> int:
-    """Unlink the ``.npz``/``.json`` files of ``directory``; count them."""
-    try:
-        entries = sorted(directory.iterdir())
-    except OSError:  # missing or unreadable directory
-        return 0
-    removed = 0
-    for path in entries:
-        if path.suffix not in (".npz", ".json") or not path.is_file():
-            continue
-        try:
-            path.unlink()
-        except FileNotFoundError:  # lost a race with a concurrent clear
-            continue
-        removed += 1
-    return removed

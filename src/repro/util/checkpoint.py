@@ -18,17 +18,18 @@ explicit argument)::
     <root>/<run-hash>/chunk_000007.json  # sidecar: index + content digest
     <root>/<run-hash>/corrupt/           # quarantined entries (never deleted)
 
-Every write is tmp-file + ``os.replace`` atomic; every read verifies
-the sidecar's SHA-256 content digest (:func:`repro.util.cache.array_digest`)
-and quarantines mismatches into ``corrupt/`` exactly like the result
-cache does.
+A chunk is one entry of the format the result cache uses
+(:func:`repro.util.cache.write_entry` / :func:`~repro.util.cache.read_entry`):
+payloads and sidecars publish atomically, and a chunk is reloaded only
+when its sidecar's SHA-256 matches the payload's content digest.
+Anything else present is quarantined into ``corrupt/`` and recomputed.
+The manifest publishes through :func:`repro.util.cache.atomic_write_text`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zipfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -36,11 +37,11 @@ import numpy as np
 
 from repro.util.cache import (
     _canonical,
-    array_digest,
-    atomic_write_npz,
     atomic_write_text,
     quarantine_paths,
+    read_entry,
     stable_hash,
+    write_entry,
 )
 
 #: Environment variable naming the checkpoint root (enables resume).
@@ -48,8 +49,6 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 #: Manifest schema version (bump on incompatible layout changes).
 MANIFEST_FORMAT = 1
-
-_LOAD_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, KeyError)
 
 
 def checkpoint_dir_from_env() -> Optional[Path]:
@@ -125,46 +124,23 @@ class CheckpointStore:
                   arrays: Mapping[str, np.ndarray]) -> None:
         """Persist one completed chunk atomically (payload + sidecar)."""
         self._check_index(chunk_index)
-        data_path, meta_path = self._chunk_paths(chunk_index)
         try:
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_npz(data_path, arrays, site="checkpoint.payload")
-            sidecar = {"chunk_index": chunk_index,
-                       "sha256": array_digest(arrays)}
-            atomic_write_text(meta_path,
-                              json.dumps(sidecar, sort_keys=True, indent=1),
-                              site="checkpoint.sidecar")
+            write_entry(*self._chunk_paths(chunk_index), arrays,
+                        {"chunk_index": chunk_index}, site="checkpoint")
         except OSError:
             return
 
     def get_chunk(self, chunk_index: int
                   ) -> Optional[Dict[str, np.ndarray]]:
-        """Reload one chunk, or ``None`` when absent or quarantined.
+        """Reload one verified chunk, or ``None`` when absent or corrupt.
 
-        A chunk whose payload fails to load, whose sidecar is missing
-        or unreadable, or whose content digest mismatches is moved to
-        ``corrupt/`` and reported missing, so the supervisor recomputes
-        it instead of poisoning the merged sweep.  Orphaned halves go
-        the same way in both orientations: payload without sidecar
-        *and* sidecar without payload are quarantined.
+        A corrupt chunk is quarantined and reported missing
+        (:func:`repro.util.cache.read_entry`), so the supervisor
+        recomputes it instead of poisoning the merged sweep.
         """
         self._check_index(chunk_index)
-        data_path, meta_path = self._chunk_paths(chunk_index)
-        if not data_path.exists():
-            if meta_path.exists():  # orphaned sidecar: quarantine, miss
-                self._quarantine(meta_path)
-            return None
-        expected = self._sidecar_digest(meta_path)
-        try:
-            with np.load(data_path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except _LOAD_ERRORS:
-            self._quarantine(data_path, meta_path)
-            return None
-        if expected is None or array_digest(arrays) != expected:
-            self._quarantine(data_path, meta_path)
-            return None
-        return arrays
+        return read_entry(*self._chunk_paths(chunk_index), self._quarantine)
 
     def completed_chunks(self) -> List[int]:
         """Indices whose payload file exists (unverified fast path)."""
@@ -181,14 +157,6 @@ class CheckpointStore:
         if not 0 <= chunk_index < self.n_chunks:
             raise IndexError(
                 f"chunk {chunk_index} outside run of {self.n_chunks} chunks")
-
-    def _sidecar_digest(self, meta_path: Path) -> Optional[str]:
-        try:
-            sidecar = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        digest = sidecar.get("sha256") if isinstance(sidecar, dict) else None
-        return digest if isinstance(digest, str) else None
 
     def _quarantine(self, *paths: Path) -> None:
         if quarantine_paths(self.run_dir, *paths,

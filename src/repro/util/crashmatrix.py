@@ -65,7 +65,6 @@ from repro.util.iofaults import (
     REPLACE_KINDS,
     WRITE_KINDS,
     IoFaultInjector,
-    IoFaultRule,
     SimulatedCrash,
 )
 
@@ -227,10 +226,6 @@ class MatrixReport:
 # Cell execution
 # ---------------------------------------------------------------------------
 
-def _single_fault(site: str, kind: str, call_index: int) -> IoFaultInjector:
-    return IoFaultInjector(rules=(IoFaultRule(site, call_index, kind),))
-
-
 def _run_cache_cell(root: Path, site: str, kind: str) -> CellResult:
     """One cache cell: die at ``site`` during put (or quarantine), recover."""
     reference = _reference_arrays()
@@ -242,7 +237,7 @@ def _run_cache_cell(root: Path, site: str, kind: str) -> CellResult:
         cache.put(_KEY, reference)
         (entry,) = root.glob("*.npz")
         _corrupt_file(entry)
-    injector = _single_fault(site, kind, call_index=0)
+    injector = iofaults.single_fault(site, kind)
     crashed = False
     try:
         with iofaults.inject(injector):
@@ -282,7 +277,7 @@ def _run_checkpoint_cell(root: Path, site: str, kind: str) -> CellResult:
         for index in range(_N_CHUNKS):
             seeded.put_chunk(index, _chunk_arrays(index))
         _corrupt_file(run_dir / "chunk_000001.npz")
-    injector = _single_fault(site, kind, call_index)
+    injector = iofaults.single_fault(site, kind, call_index)
     crashed = False
     try:
         with iofaults.inject(injector):

@@ -148,19 +148,7 @@ def classify(exc: BaseException) -> FailureKind:
 # Signals
 # ---------------------------------------------------------------------------
 
-#: Set once a handler installed by :func:`signals_as_resumable` fires;
-#: long loops may poll it to stop at a clean boundary.
-_INTERRUPTED: Optional[int] = None
-
-
-def interrupt_requested() -> Optional[int]:
-    """The signal number of a pending operator interrupt, or ``None``."""
-    return _INTERRUPTED
-
-
 def _raise_resumable(signum: int, frame: Optional[FrameType]) -> None:
-    global _INTERRUPTED
-    _INTERRUPTED = signum
     raise ResumableInterrupt(signum)
 
 
@@ -173,8 +161,6 @@ def signals_as_resumable() -> Iterator[None]:
     the signal) installation degrades to a no-op rather than failing —
     the CLI still works, just with default signal semantics.
     """
-    global _INTERRUPTED
-    _INTERRUPTED = None
     previous: Dict[int, object] = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -184,7 +170,6 @@ def signals_as_resumable() -> Iterator[None]:
     try:
         yield
     finally:
-        _INTERRUPTED = None
         for signum, handler in previous.items():
             try:
                 signal.signal(signum, handler)
@@ -254,5 +239,5 @@ __all__ = [
     "EXIT_CORRUPT_STATE", "EXIT_RESUMABLE",
     "OperatorError", "FatalError", "TransientError", "CorruptStateError",
     "ResumableInterrupt",
-    "classify", "interrupt_requested", "signals_as_resumable", "run_cli",
+    "classify", "signals_as_resumable", "run_cli",
 ]

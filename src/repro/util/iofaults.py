@@ -1,12 +1,15 @@
 """Deterministic filesystem fault injection for the persistence layer.
 
 :mod:`repro.util.faults` kills *compute*; this module makes the
-*storage* claims testable.  Every durable write in
-:mod:`repro.util.cache` and :mod:`repro.util.checkpoint` goes through
-two named **sites** — a ``<thing>.write`` site (the tmp-file write)
-and a ``<thing>.replace`` site (the atomic ``os.replace`` publish) —
-plus a ``.quarantine.replace`` site per store for the corrupt-entry
-moves.  An active
+*storage* claims testable.  Every durable file publishes through
+:func:`repro.util.cache.atomic_open`, which runs two named **sites** —
+a ``<thing>.write`` site (the tmp-file write) and a ``<thing>.replace``
+site (the atomic ``os.replace`` publish).  The result cache and the
+checkpoint store name theirs ``cache.payload``, ``cache.sidecar``,
+``checkpoint.manifest``, ``checkpoint.payload`` and
+``checkpoint.sidecar``, and move corrupt entries through a
+``.quarantine.replace`` site per store; trace files publish under
+``trace`` and CLI reports under ``io``.  An active
 :class:`IoFaultInjector` intercepts those sites and injects one of the
 failure modes long-running sweeps actually die of:
 
@@ -163,11 +166,10 @@ class IoFaultInjector:
             raise SimulatedCrash(site, index, kind)
         raise ValueError(f"fault kind {kind!r} not valid at write site {site!r}")
 
-    def on_replace(self, site: str, src: Path, dst: Path) -> bool:
-        """Called before ``os.replace(src, dst)``.
+    def on_replace(self, site: str, src: Path, dst: Path) -> None:
+        """Called before ``os.replace(src, dst)``; raises the planned fault.
 
-        Returns ``True`` when the caller must still perform the replace
-        (no fault), ``False`` never — every fault raises.  The
+        Returning means no fault: the caller performs the replace.  The
         :data:`TORN` kind performs its own (torn) publish before dying.
         """
         with self._lock:
@@ -176,7 +178,7 @@ class IoFaultInjector:
             kind = self._decide(site, index)
             self.observed.append((site, index, kind))
         if kind is None:
-            return True
+            return
         if kind == IOERROR:
             raise OSError(errno.EIO, "injected: input/output error",
                           str(dst))
@@ -234,8 +236,8 @@ def trip_write(site: str, path: Path) -> None:
 def checked_replace(site: str, src: Path, dst: Path) -> None:
     """``os.replace`` through the active injector's replace site."""
     injector = _ACTIVE
-    if injector is not None and not injector.on_replace(site, src, dst):
-        return
+    if injector is not None:
+        injector.on_replace(site, src, dst)
     os.replace(src, dst)
 
 

@@ -144,3 +144,14 @@ class TestInspectCommand:
         rc = run_cli("repro-traces", lambda: main(["inspect", str(torn)]))
         assert rc == EXIT_CORRUPT_STATE
         assert "torn" in capsys.readouterr().err
+
+    def test_inspect_torn_record_names_its_line(self, tmp_path, capsys):
+        out = tmp_path / "building.jsonl"
+        main(["upload", "--out", str(out), "--days", "1", "--seed", "3"])
+        lines = out.read_text().splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:2]) + lines[2][:30])
+        capsys.readouterr()
+        rc = run_cli("repro-traces", lambda: main(["inspect", str(torn)]))
+        assert rc == EXIT_CORRUPT_STATE
+        assert ":3: malformed snapshot record" in capsys.readouterr().err

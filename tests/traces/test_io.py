@@ -13,6 +13,8 @@ from repro.traces.io import (
 )
 from repro.traces.records import ApSnapshot, ClientObservation, UploadTrace
 from repro.traces.synthetic import UploadTraceConfig, UploadTraceGenerator
+from repro.util import iofaults
+from repro.util.iofaults import CRASH, SimulatedCrash, single_fault
 
 
 @pytest.fixture
@@ -180,3 +182,63 @@ class TestDownlinkRoundTrip:
         with pytest.raises(ValueError, match=r"promises 6 locations, "
                                              r"found 5"):
             read_downlink_measurements(path)
+
+
+class TestMalformedRecordsNameTheirLine:
+    """A record that does not parse or convert is reported by file line."""
+
+    READERS = {"upload": (write_upload_trace, read_upload_trace,
+                          "snapshot", "timestamp_s"),
+               "downlink": (write_downlink_measurements,
+                            read_downlink_measurements,
+                            "measurement", "snr_db")}
+
+    @pytest.fixture(params=["upload", "downlink"])
+    def written(self, request, upload_trace, campaign, tmp_path):
+        write, read, what, field = self.READERS[request.param]
+        path = tmp_path / f"{request.param}.jsonl"
+        write(upload_trace if request.param == "upload" else campaign, path)
+        return path, read, what, field
+
+    def test_torn_record(self, written):
+        path, read, what, _ = written
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + lines[2][:30])
+        with pytest.raises(ValueError,
+                           match=rf":3: malformed {what} record"):
+            read(path)
+
+    def test_non_numeric_field(self, written):
+        path, read, what, field = written
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        if isinstance(record[field], dict):  # a per-AP map
+            record[field] = {ap: "abc" for ap in record[field]}
+        else:
+            record[field] = "abc"
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError,
+                           match=rf":2: malformed {what} record"):
+            read(path)
+
+    def test_torn_header(self, written):
+        path, read, _, _ = written
+        path.write_text(path.read_text()[:10])
+        with pytest.raises(ValueError, match=r":1: malformed \w+ header"):
+            read(path)
+
+
+class TestAtomicPublish:
+    def test_trace_write_goes_through_the_fault_sites(self, upload_trace,
+                                                      tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_upload_trace(upload_trace, path)
+        before = path.read_bytes()
+        other = UploadTrace(building="other", snapshot_interval_s=60.0,
+                            snapshots=())
+        with pytest.raises(SimulatedCrash):
+            with iofaults.inject(single_fault("trace.replace", CRASH)):
+                write_upload_trace(other, path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp*"))

@@ -1,5 +1,5 @@
 """ResultCache behaviour: keys, roundtrips, inert mode, corruption,
-interrupted writes."""
+the entry rule both stores share, interrupted writes."""
 
 import json
 import zipfile
@@ -175,17 +175,6 @@ class TestResultCache:
         (meta,) = tmp_path.glob("*.json")
         assert json.loads(meta.read_text())["sha256"] == array_digest(arrays)
 
-    def test_legacy_entry_without_digest_still_served(self, tmp_path):
-        """Pre-integrity sidecars (no sha256) load unverified, no flag-day."""
-        cache = ResultCache(tmp_path)
-        arrays = {"x": np.ones(4)}
-        cache.put(KEY, arrays)
-        (meta,) = tmp_path.glob("*.json")
-        legacy = json.loads(meta.read_text())
-        del legacy["sha256"]
-        meta.write_text(json.dumps(legacy))
-        assert np.array_equal(cache.get(KEY)["x"], arrays["x"])
-
     def test_put_swallows_unwritable_root(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("file in the way")
@@ -212,54 +201,6 @@ class TestResultCache:
         cache.put(KEY, {"x": np.arange(64.0)})
         assert np.array_equal(cache.get(KEY)["x"], np.arange(64.0))
 
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put({"seed": 1}, {"x": np.ones(2)})
-        cache.put({"seed": 2}, {"x": np.ones(2)})
-        result = cache.clear()
-        assert result.removed == 4  # two .npz + two .json
-        assert result.quarantined == 0
-        assert cache.get({"seed": 1}) is None
-
-    def test_clear_skips_subdirectories_and_foreign_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put({"seed": 1}, {"x": np.ones(2)})
-        (tmp_path / "subdir").mkdir()
-        (tmp_path / "notes.txt").write_text("keep me")
-        result = cache.clear()  # must not crash on the directory
-        assert result.removed == 2
-        assert (tmp_path / "subdir").is_dir()
-        assert (tmp_path / "notes.txt").exists()
-
-    def test_clear_reports_quarantined_separately(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put({"seed": 1}, {"x": np.ones(2)})
-        cache.put({"seed": 2}, {"x": np.ones(2)})
-        entry = next(tmp_path.glob("*.npz"))
-        entry.write_bytes(b"junk")
-        for seed in (1, 2):
-            cache.get({"seed": seed})  # one of these quarantines
-        result = cache.clear()
-        assert result.removed == 2
-        assert result.quarantined == 2  # .npz + .json of the bad entry
-
-    def test_clear_tolerates_concurrent_deletion(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
-        cache = ResultCache(tmp_path)
-        cache.put({"seed": 1}, {"x": np.ones(2)})
-        real_unlink = Path.unlink
-
-        def racing_unlink(self, *args, **kwargs):
-            real_unlink(self, *args, **kwargs)  # the "other process" wins
-            raise FileNotFoundError(str(self))
-
-        monkeypatch.setattr(Path, "unlink", racing_unlink)
-        result = cache.clear()  # every unlink loses the race; no crash
-        assert result.removed == 0
-        monkeypatch.undo()
-        assert list(tmp_path.glob("*.npz")) == []
-
     def test_from_env_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         assert not ResultCache.from_env().enabled
@@ -269,6 +210,85 @@ class TestResultCache:
         cache = ResultCache.from_env()
         assert cache.enabled
         assert cache.root == tmp_path
+
+
+#: Sidecars that cannot vouch for their payload, built from the real
+#: sidecar.  A missing sidecar is covered by
+#: ``TestResultCache::test_orphaned_payload_is_a_miss_and_quarantined``
+#: and ``test_checkpoint.py``'s ``test_missing_sidecar_treated_as_corrupt``.
+UNVERIFIABLE_SIDECARS = {
+    "not-json": lambda meta: "{",
+    "json-list": lambda meta: "[]",
+    "no-sha256": lambda meta: json.dumps(
+        {k: v for k, v in meta.items() if k != "sha256"}),
+    "numeric-sha256": lambda meta: json.dumps({**meta, "sha256": 7}),
+}
+
+
+@pytest.fixture(params=["cache", "checkpoint"])
+def entry_store(request, tmp_path):
+    """``(put, get, store, entry_dir)`` for one entry of either store."""
+    if request.param == "cache":
+        cache = ResultCache(tmp_path)
+        return (lambda arrays: cache.put(KEY, arrays),
+                lambda: cache.get(KEY), cache, tmp_path)
+    store = CheckpointStore(tmp_path, KEY, n_chunks=1)
+    return (lambda arrays: store.put_chunk(0, arrays),
+            lambda: store.get_chunk(0), store, store.run_dir)
+
+
+class TestEntryRule:
+    """Both stores serve an entry only when its sidecar vouches for it."""
+
+    @pytest.mark.parametrize("shape", list(UNVERIFIABLE_SIDECARS))
+    def test_unverifiable_sidecar_quarantined_then_recomputed(
+            self, entry_store, shape):
+        put, get, store, entry_dir = entry_store
+        reference = {"x": np.linspace(0.0, 1.0, 9),
+                     "codes": np.arange(9, dtype=np.uint8)}
+        put(reference)
+        (data_path,) = entry_dir.glob("*.npz")
+        meta_path = data_path.with_suffix(".json")
+        meta_path.write_text(
+            UNVERIFIABLE_SIDECARS[shape](json.loads(meta_path.read_text())))
+
+        assert get() is None
+        assert store.quarantined == 1
+        assert not data_path.exists() and not meta_path.exists()
+        moved = sorted((entry_dir / "corrupt").iterdir())
+        assert sorted(p.suffix for p in moved) == [".json", ".npz"]
+        assert all(p.name.startswith(data_path.stem + ".") for p in moved)
+
+        put(reference)  # the caller recomputes
+        loaded = get()
+        assert loaded is not None and set(loaded) == set(reference)
+        for name, array in reference.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].tobytes() == array.tobytes()
+        assert store.quarantined == 1
+
+    @pytest.mark.parametrize("sidecar", ["{", "[]"],
+                             ids=["not-json", "json-list"])
+    def test_rewritten_payload_under_bad_sidecar_never_served(
+            self, entry_store, sidecar):
+        put, get, store, entry_dir = entry_store
+        put({"x": np.arange(4)})
+        (data_path,) = entry_dir.glob("*.npz")
+        data_path.with_suffix(".json").write_text(sidecar)
+        np.savez(data_path, x=np.array([99, 99, 99, 99]))
+        assert get() is None
+        assert store.quarantined == 1
+        assert not data_path.exists()
+
+    def test_bare_npy_payload_quarantined(self, entry_store):
+        # np.load hands back an array, not an archive, for .npy bytes.
+        put, get, store, entry_dir = entry_store
+        put({"x": np.arange(4.0)})
+        (data_path,) = entry_dir.glob("*.npz")
+        with data_path.open("wb") as handle:
+            np.save(handle, np.arange(4.0))
+        assert get() is None
+        assert store.quarantined == 1
 
 
 class TestPayloadFormat:

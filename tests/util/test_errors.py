@@ -18,7 +18,6 @@ from repro.util.errors import (
     ResumableInterrupt,
     TransientError,
     classify,
-    interrupt_requested,
     run_cli,
     signals_as_resumable,
 )
@@ -78,15 +77,6 @@ class TestSignals:
         with signals_as_resumable():
             assert signal.getsignal(signal.SIGINT) is not before
         assert signal.getsignal(signal.SIGINT) is before
-
-    def test_interrupt_flag_set_and_cleared(self):
-        assert interrupt_requested() is None
-        try:
-            with signals_as_resumable():
-                signal.raise_signal(signal.SIGINT)
-        except ResumableInterrupt:
-            pass
-        assert interrupt_requested() is None  # cleared on exit
 
 
 class TestRunCli:

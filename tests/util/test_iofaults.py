@@ -90,9 +90,14 @@ class TestReplaceFaults:
         assert src.exists()
 
     def test_clean_call_requests_the_replace(self, tmp_path):
+        # No fault: the hook returns and leaves the replace to its caller.
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        src.write_bytes(b"payload")
         injector = IoFaultInjector()
-        assert injector.on_replace("s.replace", tmp_path / "a",
-                                   tmp_path / "b") is True
+        injector.on_replace("s.replace", src, dst)
+        assert src.read_bytes() == b"payload"
+        assert not dst.exists()
+        assert injector.observed == [("s.replace", 0, None)]
 
 
 class TestRecording:
