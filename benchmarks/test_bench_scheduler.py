@@ -3,8 +3,8 @@
 Covers both halves of the scheduling claim: the blossom matching finds
 the optimal pairing (ties brute force, beats greedy/random/serial) and
 runs in polynomial time on realistic WLAN sizes — plus the fast-path
-claim: the vectorised cost graph + array blossom pipeline beats the
-scalar reference pipeline by >= 5x on a 64-client backlog while
+claim: the vectorised cost graph + plain-list blossom pipeline beats
+the scalar reference pipeline by >= 5x on a 64-client backlog while
 returning bit-identical schedules.
 
 Speedup and phase attributions land in each benchmark's

@@ -22,23 +22,32 @@ is optimal when every edge has non-negative slack
 ``u_i + u_j + (blossom terms) - 2*w_ij`` and every matched edge has
 zero slack.
 
-Fast path (this is the throughput-critical kernel of the scheduler):
+Fast path (this is the throughput-critical kernel of the scheduler),
+all of it over plain Python lists:
 
 * dual variables are kept in **doubled units** (``2*u_v``), which makes
   every quantity in the algorithm — slacks, the four dual-adjustment
   deltas, blossom duals — an exact integer whenever the edge weights
   are integral (the true duals are multiples of 1/2, and the doubled
-  S-to-S slack that delta type 3 halves is provably even).  For float
-  weights, scaling by two is exact in IEEE arithmetic, so the doubled
-  run makes *bit-identical decisions* to the historical un-doubled one;
-* slack look-ups in the tree-growth loops are inlined list reads
+  S-to-S slack that delta type 3 halves is provably even).  Integral
+  weights (ints, NumPy integers, integer-valued floats) become Python
+  ints, exact at any magnitude.  Any other weight runs in floats, where
+  scaling by two is exact in IEEE arithmetic, so the doubled run makes
+  *bit-identical decisions* to the historical un-doubled one;
+* slack look-ups are inlined list reads
   (``dualvar[i] + dualvar[j] - weight4[k]``) instead of the historical
-  per-edge ``slack()`` function calls — millions of calls per solve on
-  large backlogs;
-* the per-stage dual adjustment (delta types 1–4) is a handful of
-  masked NumPy reductions over vertex/blossom/edge arrays instead of
-  Python scans over ``range(2 * nvertex)``, and the dual updates apply
-  as vectorised adds;
+  per-edge ``slack()`` function calls.  An S-vertex scan reads the least
+  slack of its blossom's best edge once and then tracks it, since the
+  duals do not move during a scan, and merging best edges into a new
+  blossom evaluates a slack only for an edge that reaches another
+  S-blossom;
+* the dual adjustment makes one pass over the vertices (delta 2, and
+  delta 3 for bare S-vertices) and, once a blossom exists, one over the
+  top-level blossoms (the rest of delta 3, and delta 4), then applies
+  delta in one pass each.  Each delta class keeps its first minimum in
+  ascending index order and the classes are compared in type order
+  with strict ``<``, which are the tie-breaks of the historical scans
+  over ``range(2 * nvertex)``;
 * the dense internal ``assert``s are gated behind ``debug=True``.
 
 The pre-fast-path implementation is frozen verbatim in
@@ -55,16 +64,12 @@ any physically meaningful airtime difference.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 Edge = Tuple[int, int, float]
-
-#: Integral weights above this magnitude would risk ``int64`` overflow
-#: in the vectorised doubled-dual arithmetic; such graphs take the
-#: float64 path.
-_INT64_SAFE_WEIGHT = 2 ** 60
 
 
 def _enumerate_perfect_matchings(
@@ -111,61 +116,39 @@ def max_weight_matching(edges: Sequence[Edge],
             raise ValueError(f"bad edge ({i}, {j})")
         nvertex = max(nvertex, i + 1, j + 1)
 
-    maxweight = max(0, max(w for (_, _, w) in edges))
-
-    # Doubled-unit duals: int64 when the weights allow exact integer
-    # arithmetic in the vectorised steps, float64 otherwise (see module
-    # docstring).
+    # Integral weights (ints, NumPy integers, integer-valued floats) run
+    # in exact Python ints at any magnitude; anything else in floats.
     integral = all(
         isinstance(w, (int, np.integer))
         or (isinstance(w, float) and w.is_integer())
         for (_, _, w) in edges
-    ) and max(abs(w) for (_, _, w) in edges) < _INT64_SAFE_WEIGHT
-    dtype = np.int64 if integral else np.float64
+    )
+    weights: List[float] = [int(w) if integral else float(w)
+                            for (_, _, w) in edges]
+    maxweight = max(0, max(weights))
 
     # In doubled dual units the slack of edge k is
-    # dualvar[i] + dualvar[j] - weight4[k]; the scalar loops read the
-    # plain lists, the delta search gathers through the NumPy mirrors.
-    weight4 = [4 * e[2] for e in edges]
-    # Endpoint columns both as plain lists (hot scalar loops — list
-    # indexing beats tuple-of-tuple indexing) and as NumPy arrays (the
-    # vectorised slack gathers).
+    # dualvar[i] + dualvar[j] - weight4[k].
+    weight4 = [4 * w for w in weights]
+    # Endpoint columns as plain lists: list indexing beats
+    # tuple-of-tuple indexing in the hot loops.
     ei_l = [e[0] for e in edges]
     ej_l = [e[1] for e in edges]
-    edge_i = np.fromiter(ei_l, np.int64, nedge)
-    edge_j = np.fromiter(ej_l, np.int64, nedge)
-    weight4_np = np.fromiter(weight4, dtype, nedge)
 
     # endpoint[p] is the vertex at endpoint p; edge k owns endpoints
     # 2k (its i side) and 2k+1 (its j side).
     endpoint = [edges[p // 2][p % 2] for p in range(2 * nedge)]
 
-    # neighbend[v] lists the *remote* endpoints of edges incident to v.
-    neighbend: List[List[int]] = [[] for _ in range(nvertex)]
+    # nbr_pkw[v] lists one (remote endpoint, edge, remote vertex) triple
+    # per edge incident to v: the S-vertex scan unpacks a precomputed
+    # tuple per neighbour instead of re-deriving the edge id and remote
+    # vertex on every visit.
+    nbr_pkw: List[List[Tuple[int, int, int]]] = [[] for _ in range(nvertex)]
     for k in range(nedge):
-        i, j, _ = edges[k]
-        neighbend[i].append(2 * k + 1)
-        neighbend[j].append(2 * k)
-
-    # Per-vertex gather indices, aligned with neighbend[v]: the edge
-    # ids, the remote vertices (NumPy, for slack gathers), and those
-    # edges' weight4.  One vectorised slack evaluation per S-vertex
-    # scan replaces per-neighbour Python arithmetic.
-    nbr_edges: List[List[int]] = []
-    nbr_vert: List[np.ndarray] = []
-    nbr_w4: List[np.ndarray] = []
-    for v in range(nvertex):
-        ks = [p // 2 for p in neighbend[v]]
-        karr = np.fromiter(ks, np.int64, len(ks))
-        nbr_edges.append(ks)
-        nbr_vert.append(np.fromiter((endpoint[p] for p in neighbend[v]),
-                                    np.int64, len(ks)))
-        nbr_w4.append(weight4_np[karr])
-
-    # Per-vertex (endpoint, edge, remote-vertex) triples: the S-vertex
-    # scan unpacks one precomputed tuple per neighbour instead of
-    # re-deriving the edge id and remote vertex on every visit.
-    nbr_pkw = [[(p, p // 2, endpoint[p]) for p in nb] for nb in neighbend]
+        i = ei_l[k]
+        j = ej_l[k]
+        nbr_pkw[i].append((2 * k + 1, k, j))
+        nbr_pkw[j].append((2 * k, k, i))
 
     # mate[v] is the remote endpoint of v's matched edge, or -1.
     mate = nvertex * [-1]
@@ -173,54 +156,30 @@ def max_weight_matching(edges: Sequence[Edge],
     # label[b]: 0 = free, 1 = S (even), 2 = T (odd); +4 marks a
     # breadcrumb during scan_blossom.  Indexed by top-level blossom for
     # blossoms, and additionally per-vertex for T-side bookkeeping.
-    #
-    # The labelling/blossom structures are Python lists (authoritative,
-    # for the scalar tree-growth loops) with write-through NumPy
-    # mirrors (``*_np``) kept in lockstep so the vectorised dual
-    # adjustment never has to convert a list.  Mirror writes are cheap
-    # because mutations are orders of magnitude rarer than reads.
     label = (2 * nvertex) * [0]
-    lab_np = np.zeros(2 * nvertex, dtype=np.int64)
 
     # labelend[b]: the endpoint through which b acquired its label.
     labelend = (2 * nvertex) * [-1]
 
     # inblossom[v]: the top-level blossom containing vertex v.
     inblossom = list(range(nvertex))
-    inb_np = np.arange(nvertex, dtype=np.int64)
 
     # Blossom structure: parent, ordered children, base vertex, and the
     # connecting endpoints between consecutive children.
     blossomparent = (2 * nvertex) * [-1]
-    bpar_np = np.full(2 * nvertex, -1, dtype=np.int64)
     blossomchilds: List[Optional[List[int]]] = (2 * nvertex) * [None]
     blossombase = list(range(nvertex)) + nvertex * [-1]
-    bbase_np = np.concatenate([np.arange(nvertex, dtype=np.int64),
-                               np.full(nvertex, -1, dtype=np.int64)])
     blossomendps: List[Optional[List[int]]] = (2 * nvertex) * [None]
 
     # bestedge[b]: least-slack edge from b to a different S-blossom.
     bestedge = (2 * nvertex) * [-1]
-    best_np = np.full(2 * nvertex, -1, dtype=np.int64)
     blossombestedges: List[Optional[List[int]]] = (2 * nvertex) * [None]
 
     unusedblossoms = list(range(nvertex, 2 * nvertex))
 
     # Dual variables in doubled units: 2*u_v for vertices (init twice
-    # the max weight), 2*z_b for blossoms (init 0).  The Python list is
-    # authoritative for the scalar loops; ``dual_np`` mirrors it for
-    # the vectorised delta search (``dvert_np`` is its vertex half).
+    # the max weight), 2*z_b for blossoms (init 0).
     dualvar = nvertex * [2 * maxweight] + nvertex * [0]
-    dual_np = np.concatenate([np.full(nvertex, 2 * maxweight, dtype=dtype),
-                              np.zeros(nvertex, dtype=dtype)])
-    dvert_np = dual_np[:nvertex]
-    # Blossom halves of the mirrors, as persistent views: the delta
-    # search slices them every adjustment, so slice once here.  (All
-    # mirror mutations are in-place, which keeps these views live.)
-    dblos_np = dual_np[nvertex:]
-    lab_hi_np = lab_np[nvertex:]
-    bpar_hi_np = bpar_np[nvertex:]
-    bbase_hi_np = bbase_np[nvertex:]
 
     # allowedge[k]: edge k has zero slack and may be crossed.
     allowedge = nedge * [False]
@@ -248,10 +207,8 @@ def max_weight_matching(edges: Sequence[Edge],
         if debug:
             assert label[w] == 0 and label[b] == 0
         label[w] = label[b] = t
-        lab_np[w] = lab_np[b] = t
         labelend[w] = labelend[b] = p
         bestedge[w] = bestedge[b] = -1
-        best_np[w] = best_np[b] = -1
         if t == 1:
             # S-blossom: scan all its vertices (a bare vertex is its
             # own single leaf — skip the walk).
@@ -283,7 +240,6 @@ def max_weight_matching(edges: Sequence[Edge],
                 assert label[b] == 1
             path.append(b)
             label[b] = 5  # breadcrumb: 1 | 4
-            lab_np[b] = 5
             if debug:
                 assert labelend[b] == mate[blossombase[b]]
             if labelend[b] == -1:
@@ -299,7 +255,6 @@ def max_weight_matching(edges: Sequence[Edge],
                 v, w = w, v
         for b in path:
             label[b] = 1
-            lab_np[b] = 1
         return base
 
     def add_blossom(base: int, k: int) -> None:
@@ -310,17 +265,13 @@ def max_weight_matching(edges: Sequence[Edge],
         bw = inblossom[w]
         b = unusedblossoms.pop()
         blossombase[b] = base
-        bbase_np[b] = base
         blossomparent[b] = -1
-        bpar_np[b] = -1
         blossomparent[bb] = b
-        bpar_np[bb] = b
         # Walk from v back to the base, collecting the path.
         path: List[int] = []
         endps: List[int] = []
         while bv != bb:
             blossomparent[bv] = b
-            bpar_np[bv] = b
             path.append(bv)
             endps.append(labelend[bv])
             if debug:
@@ -337,7 +288,6 @@ def max_weight_matching(edges: Sequence[Edge],
         # Walk from w back to the base, extending forwards.
         while bw != bb:
             blossomparent[bw] = b
-            bpar_np[bw] = b
             path.append(bw)
             endps.append(labelend[bw] ^ 1)
             if debug:
@@ -352,84 +302,77 @@ def max_weight_matching(edges: Sequence[Edge],
         blossomchilds[b] = path
         blossomendps[b] = endps
         label[b] = 1
-        lab_np[b] = 1
         labelend[b] = labelend[bb]
         dualvar[b] = 0
-        dual_np[b] = 0
-        leaves = blossom_leaves(b)
-        for leaf in leaves:
+        for leaf in blossom_leaves(b):
             if label[inblossom[leaf]] == 2:
                 # Former T-vertices become S-vertices; scan them.
                 queue.append(leaf)
             inblossom[leaf] = b
-        inb_np[leaves] = b
-        # Merge the children's best-edge caches.  Candidate slacks are
-        # evaluated in vectorised chunks (per leaf via the neighbour
-        # gather arrays, or per cached best-edge list); the duals are
-        # constant throughout, so the values all stay coherent.
+        # Merge the children's best-edge caches: each child offers its
+        # cached best-edge list, or else every edge out of its leaves.
+        # A slack is evaluated only for an edge that reaches another
+        # S-blossom; the duals are constant throughout.
+        dv = dualvar
+        w4 = weight4
+        inb = inblossom
         bestedgeto = (2 * nvertex) * [-1]
-        bestslackto = (2 * nvertex) * [0]
+        bestslackto: List[float] = (2 * nvertex) * [0.0]
         touched: List[int] = []
         for bv in path:
-            if blossombestedges[bv] is None:
-                chunks = [
-                    (nbr_edges[leaf],
-                     (dualvar[leaf] + dvert_np[nbr_vert[leaf]]
-                      - nbr_w4[leaf]).tolist())
-                    for leaf in blossom_leaves(bv)
-                ]
+            cached = blossombestedges[bv]
+            if cached is None:
+                for leaf in blossom_leaves(bv):
+                    # The leaf is inside b: only w can be outside it.
+                    dl = dv[leaf]
+                    for _, k, w in nbr_pkw[leaf]:
+                        bj = inb[w]
+                        if bj != b and label[bj] == 1:
+                            ksl = dl + dv[w] - w4[k]
+                            if bestedgeto[bj] == -1:
+                                touched.append(bj)
+                            elif ksl >= bestslackto[bj]:
+                                continue
+                            bestedgeto[bj] = k
+                            bestslackto[bj] = ksl
             else:
-                ks = blossombestedges[bv]
-                karr = np.fromiter(ks, np.int64, len(ks))
-                chunks = [(ks, (dvert_np[edge_i[karr]]
-                                + dvert_np[edge_j[karr]]
-                                - weight4_np[karr]).tolist())]
-            for klist, slist in chunks:
-                for ek, ksl in zip(klist, slist):
-                    j = ej_l[ek]
-                    if inblossom[j] == b:
-                        j = ei_l[ek]
-                    bj = inblossom[j]
+                for k in cached:
+                    i = ei_l[k]
+                    j = ej_l[k]
+                    if inb[j] == b:
+                        i, j = j, i
+                    bj = inb[j]
                     if bj != b and label[bj] == 1:
+                        ksl = dv[i] + dv[j] - w4[k]
                         if bestedgeto[bj] == -1:
                             touched.append(bj)
                         elif ksl >= bestslackto[bj]:
                             continue
-                        bestedgeto[bj] = ek
+                        bestedgeto[bj] = k
                         bestslackto[bj] = ksl
             blossombestedges[bv] = None
             bestedge[bv] = -1
-            best_np[bv] = -1
         # Final selection over the blossoms actually reached; sorting
         # the touched list restores the historical ascending-``bj``
         # iteration order (first minimum wins ties) without scanning
         # all 2n slots.
         touched.sort()
         blossombestedges[b] = [bestedgeto[bj] for bj in touched]
-        bestedge[b] = -1
-        bestsl = None
-        for bj in touched:
-            if bestedge[b] == -1 or bestslackto[bj] < bestsl:
-                bestedge[b] = bestedgeto[bj]
-                bestsl = bestslackto[bj]
-        best_np[b] = bestedge[b]
+        bestedge[b] = (bestedgeto[min(touched, key=bestslackto.__getitem__)]
+                       if touched else -1)
 
     def expand_blossom(b: int, endstage: bool) -> None:
         """Undo blossom b (its dual hit zero, or the stage ended)."""
         for s in blossomchilds[b]:
             blossomparent[s] = -1
-            bpar_np[s] = -1
             if s < nvertex:
                 inblossom[s] = s
-                inb_np[s] = s
             elif endstage and dualvar[s] == 0:
                 # Recursively expand sub-blossoms with zero dual.
                 expand_blossom(s, endstage)
             else:
-                leaves = blossom_leaves(s)
-                for leaf in leaves:
+                for leaf in blossom_leaves(s):
                     inblossom[leaf] = s
-                inb_np[leaves] = s
         if (not endstage) and label[b] == 2:
             # The expanding blossom was a T-blossom mid-stage: relabel
             # the even-path children and clear the odd-path ones.
@@ -450,11 +393,8 @@ def max_weight_matching(edges: Sequence[Edge],
             while j != 0:
                 # Relabel the T-sub-blossom on the path to the base.
                 label[endpoint[p ^ 1]] = 0
-                lab_np[endpoint[p ^ 1]] = 0
-                vz = endpoint[blossomendps[b][j - endptrick]
-                              ^ endptrick ^ 1]
-                label[vz] = 0
-                lab_np[vz] = 0
+                label[endpoint[blossomendps[b][j - endptrick]
+                               ^ endptrick ^ 1]] = 0
                 assign_label(endpoint[p ^ 1], 2, p)
                 allowedge[blossomendps[b][j - endptrick] // 2] = True
                 j += jstep
@@ -464,10 +404,8 @@ def max_weight_matching(edges: Sequence[Edge],
             # The base sub-blossom keeps label T without propagating.
             bv = blossomchilds[b][j]
             label[endpoint[p ^ 1]] = label[bv] = 2
-            lab_np[endpoint[p ^ 1]] = lab_np[bv] = 2
             labelend[endpoint[p ^ 1]] = labelend[bv] = p
             bestedge[bv] = -1
-            best_np[bv] = -1
             # Children off the path lose their labels (but a vertex
             # individually reached from outside keeps a T handle).
             j += jstep
@@ -485,20 +423,15 @@ def max_weight_matching(edges: Sequence[Edge],
                         assert label[leaf] == 2
                         assert inblossom[leaf] == bv
                     label[leaf] = 0
-                    lab_np[leaf] = 0
                     label[endpoint[mate[blossombase[bv]]]] = 0
-                    lab_np[endpoint[mate[blossombase[bv]]]] = 0
                     assign_label(leaf, 2, labelend[leaf])
                 j += jstep
         # Recycle b.
         label[b] = labelend[b] = -1
-        lab_np[b] = -1
         blossomchilds[b] = blossomendps[b] = None
         blossombase[b] = -1
-        bbase_np[b] = -1
         blossombestedges[b] = None
         bestedge[b] = -1
-        best_np[b] = -1
         unusedblossoms.append(b)
 
     def augment_blossom(b: int, v: int) -> None:
@@ -531,7 +464,6 @@ def max_weight_matching(edges: Sequence[Edge],
         blossomchilds[b] = blossomchilds[b][i:] + blossomchilds[b][:i]
         blossomendps[b] = blossomendps[b][i:] + blossomendps[b][:i]
         blossombase[b] = blossombase[blossomchilds[b][0]]
-        bbase_np[b] = blossombase[b]
         if debug:
             assert blossombase[b] == v
 
@@ -567,9 +499,7 @@ def max_weight_matching(edges: Sequence[Edge],
     # exists and terminates).
     for _ in range(nvertex):
         label[:] = (2 * nvertex) * [0]
-        lab_np[:] = 0
         bestedge[:] = (2 * nvertex) * [-1]
-        best_np[:] = -1
         for b in range(nvertex, 2 * nvertex):
             blossombestedges[b] = None
         allowedge[:] = nedge * [False]
@@ -584,8 +514,7 @@ def max_weight_matching(edges: Sequence[Edge],
             # Grow the forest from S-vertices in the queue.  Slack reads
             # are inlined list look-ups (this loop runs tens of millions
             # of iterations on large backlogs — every name is local, and
-            # NumPy is kept out: per-row gathers lose to plain list
-            # indexing at realistic row lengths).
+            # the dual adjustment below reuses the same local names).
             dv = dualvar
             w4 = weight4
             inb = inblossom
@@ -601,14 +530,16 @@ def max_weight_matching(edges: Sequence[Edge],
                     assert lbl[inb[v]] == 1
                 dv_v = dv[v]
                 inb_v = inb[v]
+                # The duals do not move during a scan, so the least
+                # slack from v's S-blossom is read once and tracked.
+                bk = best_l[inb_v]
+                bsl = dv[ei[bk]] + dv[ej[bk]] - w4[bk] if bk != -1 else 0
                 for p, k, w in nbr_t[v]:
                     bw = inb[w]
                     if inb_v == bw:
                         continue  # internal edge
                     ok = allowed[k]
-                    if ok:
-                        kslack = 0
-                    else:
+                    if not ok:
                         kslack = dv_v + dv[w] - w4[k]
                         if kslack <= 0:
                             allowed[k] = ok = True
@@ -622,6 +553,9 @@ def max_weight_matching(edges: Sequence[Edge],
                                 add_blossom(base, k)
                                 # v now lives in the new blossom.
                                 inb_v = inb[v]
+                                bk = best_l[inb_v]
+                                bsl = (dv[ei[bk]] + dv[ej[bk]] - w4[bk]
+                                       if bk != -1 else 0)
                             else:
                                 augment_matching(k)
                                 augmented = True
@@ -633,95 +567,91 @@ def max_weight_matching(edges: Sequence[Edge],
                             if debug:
                                 assert lbl[bw] == 2
                             lbl[w] = 2
-                            lab_np[w] = 2
                             labelend[w] = p ^ 1
                     elif lbl[bw] == 1:
-                        prev = best_l[inb_v]
-                        if (prev == -1
-                                or kslack < dv[ei[prev]]
-                                + dv[ej[prev]] - w4[prev]):
-                            best_l[inb_v] = k
-                            best_np[inb_v] = k
+                        if bk == -1 or kslack < bsl:
+                            best_l[inb_v] = bk = k
+                            bsl = kslack
                     elif lbl[w] == 0:
                         prev = best_l[w]
                         if (prev == -1
                                 or kslack < dv[ei[prev]]
                                 + dv[ej[prev]] - w4[prev]):
                             best_l[w] = k
-                            best_np[w] = k
             if augmented:
                 break
 
             # No zero-slack edges to cross: adjust the dual variables.
-            # The candidate scans over vertices/blossoms/edges are
-            # array reductions over the persistent mirrors — no list
-            # conversion happens here.  ``argmin`` returns the first
-            # minimum and the delta classes are compared in ascending
-            # type order with strict ``<``, so tie-breaks match the
-            # historical ascending scalar scans exactly.
-            vlab = lab_np.take(inb_np)
-            validb = best_np != -1
-
+            # Each delta class keeps its first minimum in ascending
+            # index order, and the classes are compared in type order
+            # with strict ``<``, so the tie-breaks are those of the
+            # historical scans.
             deltatype = -1
-            delta = deltaedge = deltablossom = None
+            delta: float = 0
+            deltaedge = deltablossom = -1
             if not maxcardinality:
                 deltatype = 1
-                delta = dvert_np.min()
+                delta = min(dv[:nvertex])
 
             # Delta 2: least slack from an S-vertex to a free vertex.
-            # Delta 3: half the least slack between two top-level
-            # S-blossoms.  Both classes need the same slack gather, so
-            # their candidate edges are fetched in one concatenated
-            # shot; ``sl[:n2]`` / ``sl[n2:]`` splits them back out.
-            idx2 = ((vlab == 0) & validb[:nvertex]).nonzero()[0]
-            idx3 = ((bpar_np == -1) & (lab_np == 1) & validb).nonzero()[0]
-            n2 = idx2.size
-            if n2 or idx3.size:
-                if not idx3.size:
-                    cand = best_np.take(idx2)
-                elif not n2:
-                    cand = best_np.take(idx3)
-                else:
-                    cand = best_np.take(np.concatenate((idx2, idx3)))
-                sl = (dual_np.take(edge_i.take(cand))
-                      + dual_np.take(edge_j.take(cand))
-                      - weight4_np.take(cand))
-                if n2:
-                    sl2 = sl[:n2]
-                    pos = int(sl2.argmin())
-                    if deltatype == -1 or sl2[pos] < delta:
-                        delta, deltatype = sl2[pos], 2
-                        deltaedge = int(cand[pos])
-                if idx3.size:
-                    # In doubled integer units the S-S slack is provably
-                    # even, so the halving shift is exact.
-                    sl3 = sl[n2:]
-                    if integral:
-                        if debug:
-                            assert not (sl3 & 1).any()
-                        half = sl3 >> 1
-                    else:
-                        half = sl3 / 2
-                    pos = int(half.argmin())
-                    if deltatype == -1 or half[pos] < delta:
-                        delta, deltatype = half[pos], 3
-                        deltaedge = int(cand[n2 + pos])
+            # The same vertex pass collects the delta-3 candidates of
+            # the trivial S-blossoms; blossom slots follow below, so the
+            # candidates stay in ascending slot order.
+            e2 = -1
+            d2: float = 0
+            cand3: List[int] = []
+            bpar = blossomparent
+            for v in range(nvertex):
+                k = best_l[v]
+                if k != -1:
+                    lv = lbl[inb[v]]
+                    if lv == 0:
+                        sl = dv[ei[k]] + dv[ej[k]] - w4[k]
+                        if e2 == -1 or sl < d2:
+                            d2, e2 = sl, k
+                    elif lv == 1 and bpar[v] == -1:
+                        cand3.append(k)
 
-            # Delta 4: least dual of a top-level T-blossom.  While no
-            # blossom has ever been allocated (``unusedblossoms`` still
-            # full) the blossom halves of the mirrors are inert, so the
-            # scan and the blossom dual update are skipped outright.
-            blossoms_live = len(unusedblossoms) < nvertex
-            if blossoms_live:
-                topb = (bbase_hi_np >= 0) & (bpar_hi_np == -1)
-                top_t = topb & (lab_hi_np == 2)
-                idx4 = top_t.nonzero()[0]
-                if idx4.size:
-                    duals = dblos_np.take(idx4)
-                    pos = int(duals.argmin())
-                    if deltatype == -1 or duals[pos] < delta:
-                        delta, deltatype = duals[pos], 4
-                        deltablossom = int(idx4[pos]) + nvertex
+            # Delta 4: least dual of a top-level T-blossom.  Until a
+            # blossom exists (``unusedblossoms`` still full) there is no
+            # blossom slot to scan.
+            tops: List[int] = []
+            b4 = -1
+            d4: float = 0
+            if len(unusedblossoms) < nvertex:
+                tops = [b for b in range(nvertex, 2 * nvertex)
+                        if blossombase[b] >= 0 and bpar[b] == -1]
+                for b in tops:
+                    lb = lbl[b]
+                    if lb == 1:
+                        if best_l[b] != -1:
+                            cand3.append(best_l[b])
+                    elif lb == 2 and (b4 == -1 or dv[b] < d4):
+                        d4, b4 = dv[b], b
+
+            # Delta 3: half the least slack between two top-level
+            # S-blossoms.
+            e3 = -1
+            d3: float = 0
+            for k in cand3:
+                sl = dv[ei[k]] + dv[ej[k]] - w4[k]
+                if integral:
+                    # In doubled integer units the S-S slack is provably
+                    # even, so the halving is exact.
+                    if debug:
+                        assert sl % 2 == 0
+                    sl //= 2
+                else:
+                    sl /= 2
+                if e3 == -1 or sl < d3:
+                    d3, e3 = sl, k
+
+            if e2 != -1 and (deltatype == -1 or d2 < delta):
+                delta, deltatype, deltaedge = d2, 2, e2
+            if e3 != -1 and (deltatype == -1 or d3 < delta):
+                delta, deltatype, deltaedge = d3, 3, e3
+            if b4 != -1 and (deltatype == -1 or d4 < delta):
+                delta, deltatype, deltablossom = d4, 4, b4
 
             if deltatype == -1:
                 # No further improvement possible (max-cardinality mode
@@ -729,20 +659,22 @@ def max_weight_matching(edges: Sequence[Edge],
                 if debug:
                     assert maxcardinality
                 deltatype = 1
-                delta = max(0, dvert_np.min())
+                delta = max(0, min(dv[:nvertex]))
 
             # Apply delta: S-side vertices down, T-side up; the reverse
-            # for blossom duals — then sync back to the scalar list.
-            # Multiply-by-mask updates touch non-selected entries with
-            # ``x -= 0``, which is exact in both int64 and IEEE float
-            # (no dual is ever -0.0), and avoid three-pass fancy
-            # boolean assignment.
-            dvert_np -= delta * (vlab == 1)
-            dvert_np += delta * (vlab == 2)
-            if blossoms_live:
-                dblos_np += delta * (topb & (lab_hi_np == 1))
-                dblos_np -= delta * top_t
-            dualvar[:] = dual_np.tolist()
+            # for top-level blossom duals.
+            for v in range(nvertex):
+                lv = lbl[inb[v]]
+                if lv == 1:
+                    dv[v] -= delta
+                elif lv == 2:
+                    dv[v] += delta
+            for b in tops:
+                lb = lbl[b]
+                if lb == 1:
+                    dv[b] += delta
+                elif lb == 2:
+                    dv[b] -= delta
 
             if deltatype == 1:
                 break  # optimum reached
@@ -801,6 +733,8 @@ def _small_complete_matching(
     for (i, j), cost in costs.items():
         if not 0 <= i < j < n_vertices:
             raise ValueError(f"bad pair ({i}, {j}) for {n_vertices} vertices")
+        if not math.isfinite(cost):
+            raise ValueError(f"cost of pair ({i}, {j}) is not finite: {cost}")
         if cost < 0.0:
             worst = min(costs.values())
             raise ValueError(f"costs must be non-negative, got {worst}")
@@ -832,7 +766,8 @@ def min_weight_perfect_matching(
     """Minimum-weight perfect matching on a graph with float costs.
 
     ``costs`` maps unordered pairs ``(i, j)`` with ``i < j`` to a
-    non-negative cost; ``n_vertices`` must be even and a perfect
+    finite, non-negative cost (a NaN or infinite cost raises
+    ``ValueError`` naming its pair); ``n_vertices`` must be even and a perfect
     matching must exist (in the scheduler the graph is complete, so it
     always does — the error otherwise names the unmatched vertices).
     Returns the matching as a set of ``(i, j)`` pairs with ``i < j``.
@@ -869,6 +804,11 @@ def min_weight_perfect_matching(
         if bad.any():
             i, j = pair_list[int(np.flatnonzero(bad)[0])]
             raise ValueError(f"bad pair ({i}, {j}) for {n_vertices} vertices")
+        nonfinite = ~np.isfinite(vals)
+        if nonfinite.any():
+            i, j = pair_list[int(np.flatnonzero(nonfinite)[0])]
+            raise ValueError(
+                f"cost of pair ({i}, {j}) is not finite: {costs[(i, j)]}")
         if (vals < 0.0).any():
             worst = float(vals.min())
             raise ValueError(f"costs must be non-negative, got {worst}")

@@ -8,12 +8,15 @@ optimality certificate for the perfect-matching wrapper.
 """
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import fig12
 from repro.scheduling.matching import (
     matching_cost,
     max_weight_matching,
@@ -23,6 +26,8 @@ from repro.scheduling.matching_scalar import (
     max_weight_matching_scalar,
     min_weight_perfect_matching_scalar,
 )
+from repro.scheduling.scheduler import SicScheduler
+from repro.techniques.pairing import TechniqueSet
 
 networkx = pytest.importorskip("networkx")
 
@@ -251,6 +256,23 @@ class TestMinWeightPerfect:
         matching = min_weight_perfect_matching(costs, 4)
         assert len(matching) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_non_finite_cost_rejected(self, n, bad):
+        # An infinite cost would make the quantisation grid infinite, so
+        # every finite cost would round to 0 and the blossom's "optimum"
+        # would be arbitrary; the enumeration shortcut would fail on a
+        # NaN-to-int conversion.  Both paths must name the pair.
+        rng = random.Random(1)
+        costs = {pair: round(rng.uniform(1, 9), 3)
+                 for pair in itertools.combinations(range(n), 2)}
+        costs[(n - 2, n - 1)] = bad
+        with pytest.raises(ValueError,
+                           match=rf"cost of pair \({n - 2}, {n - 1}\) is "
+                                 r"not finite"):
+            min_weight_perfect_matching(costs, n)
+
     def test_unmatched_vertices_named_in_error(self):
         # A star on 4 vertices: only one edge fits, stranding two
         # leaves.  The error must name the stranded vertices so
@@ -350,10 +372,11 @@ class TestSmallCompleteShortcut:
 
 
 class TestScalarGoldenEquivalence:
-    """The array-accelerated blossom must reproduce the frozen scalar
-    reference EXACTLY — same mate arrays, same chosen pairs — on every
-    graph shape (PR-1 convention).  Any divergence means the numpy dual
-    bookkeeping broke the algorithm, not just slowed it down."""
+    """The fast blossom must reproduce the frozen scalar reference
+    EXACTLY — same mate arrays, same chosen pairs — on every graph
+    shape.  Any divergence means the fast path's doubled-unit duals,
+    tracked best slacks or two-pass delta search broke the algorithm,
+    not just slowed it down."""
 
     def random_edges(self, rng, n, density, int_weights):
         edges = []
@@ -388,6 +411,57 @@ class TestScalarGoldenEquivalence:
                                        debug=True)
             ref = max_weight_matching_scalar(edges, maxcardinality=True)
             assert fast == ref
+
+    @pytest.mark.parametrize("maxcardinality", [False, True])
+    def test_debug_asserts_hold_with_integer_weights(self, maxcardinality):
+        # Only integral weights run delta 3's check that the doubled
+        # S-to-S slack is even before it is halved.
+        rng = random.Random(8)
+        for _ in range(25):
+            n = rng.randint(2, 10)
+            edges = self.random_edges(rng, n, 0.7, int_weights=True)
+            fast = max_weight_matching(edges, maxcardinality=maxcardinality,
+                                       debug=True)
+            ref = max_weight_matching_scalar(
+                edges, maxcardinality=maxcardinality)
+            assert fast == ref
+
+    @pytest.mark.parametrize("kind", ["integral_float", "np_int64",
+                                      "above_2_63"])
+    @pytest.mark.parametrize("maxcardinality", [False, True])
+    def test_integral_weight_types_identical(self, kind, maxcardinality):
+        # Integer-valued floats, NumPy integers and ints beyond int64 all
+        # run in exact Python ints.
+        convert = {"integral_float": float,
+                   "np_int64": np.int64,
+                   "above_2_63": lambda w: w * 2 ** 64}[kind]
+        rng = random.Random(9)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            edges = [(i, j, convert(w))
+                     for (i, j, w) in self.random_edges(
+                         rng, n, rng.uniform(0.3, 1.0), int_weights=True)]
+            assert max_weight_matching(
+                edges, maxcardinality=maxcardinality, debug=True) == \
+                max_weight_matching_scalar(
+                    edges, maxcardinality=maxcardinality)
+
+    @pytest.mark.parametrize("maxcardinality", [False, True])
+    def test_huge_integer_weights_stay_exact(self, maxcardinality):
+        # Offsets of a few units on top of 2**80 vanish in float64, so
+        # only exact integer arithmetic finds the optimum here.
+        rng = random.Random(10)
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            edges = [(i, j, 2 ** 80 + rng.randint(-20, 60))
+                     for i, j in itertools.combinations(range(n), 2)
+                     if rng.random() < 0.7]
+            if not edges:
+                continue
+            mate = max_weight_matching(edges, maxcardinality=maxcardinality,
+                                       debug=True)
+            assert matching_value(edges, mate, maxcardinality) == \
+                brute_force_max_weight(edges, n, maxcardinality)
 
     def test_known_blossom_cases_identical(self):
         cases = [
@@ -426,11 +500,32 @@ class TestScalarGoldenEquivalence:
                 min_weight_perfect_matching_scalar(costs, n + 1)
 
     def test_huge_weights_take_float_fallback_identically(self):
-        # Beyond the int64-safe ceiling both implementations must drop
-        # to float arithmetic and still agree.
+        # Integer-valued floats beyond the int64 range: the fast path
+        # runs them in exact Python ints, the twin in floats, and the
+        # two must still agree.
         big = 2.0 ** 61
         edges = [(0, 1, big), (1, 2, big * 1.5), (2, 3, big),
                  (0, 3, big * 0.5), (0, 2, big * 1.25)]
         for maxcard in (False, True):
             assert max_weight_matching(edges, maxcardinality=maxcard) == \
                 max_weight_matching_scalar(edges, maxcardinality=maxcard)
+
+
+class TestSchedulerGraphTieBreaks:
+    """The scheduler's own cost graphs are full of exact ties (any
+    pairing of clients that gain nothing from SIC costs the same), so
+    they exercise the blossom's tie-breaks far more than random weights
+    do.  Only the frozen twin pins those tie-breaks: networkx returns a
+    different optimal matching on some of these graphs."""
+
+    @pytest.mark.parametrize("n_clients", [16, 21, 32, 64])
+    def test_identical_to_scalar_on_scheduler_graphs(self, n_clients):
+        scheduler = SicScheduler(techniques=TechniqueSet.ALL)
+        for k in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence([1, k]))
+            clients = fig12.random_clients(
+                n_clients, rng, noise_w=scheduler.channel.noise_w)
+            costs, dummy = scheduler.build_cost_graph(clients)
+            n_vertices = n_clients + (dummy is not None)
+            assert min_weight_perfect_matching(costs, n_vertices) == \
+                min_weight_perfect_matching_scalar(costs, n_vertices), k

@@ -56,6 +56,24 @@ class TestScheduleBasics:
         with pytest.raises(ValueError, match="unique"):
             scheduler.schedule(clients)
 
+    # Costing a pair with an infinite airtime trips an invalid-value
+    # warning in the multirate kernel; the costs stay non-finite.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n_live", [3, 7])
+    def test_zero_rate_client_rejected(self, n_live):
+        # The last client's clean Shannon rate rounds to 0, so its
+        # airtime is infinite.  The matching must refuse the cost graph,
+        # naming the first pair with a non-finite cost, rather than
+        # return a schedule of infinite length.
+        scheduler = SicScheduler(techniques=TechniqueSet.ALL)
+        clients = [UploadClient(f"C{i}", 1e-9 * (i + 1))
+                   for i in range(n_live)]
+        clients.append(UploadClient("dead", 1e-30))
+        with pytest.raises(ValueError,
+                           match=rf"cost of pair \(0, {n_live}\) is not "
+                                 r"finite: inf"):
+            scheduler.schedule(clients)
+
     def test_every_client_scheduled_once(self, scheduler, rng):
         clients = make_clients(10 ** rng.uniform(-12, -8, size=9))
         schedule = scheduler.schedule(clients)
