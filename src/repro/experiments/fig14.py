@@ -15,7 +15,17 @@ Fast path (``docs/trace_performance.md``): the campaign comes from the
 vectorised downlink generator and the scenario index table is drawn
 up-front from the unchanged RNG stream, so the (deterministic) scenario
 evaluations can run as chunks of the supervised indexed runner, in
-worker processes when the ``policy`` carries a pool.
+worker processes when the ``policy`` carries a pool.  Each chunk
+converts its scenarios' four SNRs from dB in one ``db_to_linear`` call
+and computes the ``arbitrary+packing`` curve in one
+:func:`~repro.experiments.montecarlo.two_receiver_packing_gain_batch`
+call over the chunk.  Between the two, each scenario still runs the
+scalar :func:`~repro.sic.scenarios.evaluate_pair_scenario` (its case,
+feasibility and completion times feed the batched packing step) and
+the discrete-rate half.  The scenario evaluation stays scalar on
+purpose: the repository benchmark's span checks expect the scalar
+function on its trace-figure workload, where this figure is its only
+caller (Layer 4 of ``docs/trace_performance.md``).
 :func:`compute_scalar` freezes the historical serial pipeline as the
 golden reference.
 """
@@ -27,7 +37,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.montecarlo import two_receiver_packing_gain
+from repro.experiments.montecarlo import (
+    two_receiver_packing_gain,
+    two_receiver_packing_gain_batch,
+)
 from repro.experiments.runner import (
     ExecutionPolicy,
     run_indexed,
@@ -39,7 +52,12 @@ from repro.sic.discrete import (
     discrete_packing_gain,
     evaluate_discrete_pair,
 )
-from repro.sic.scenarios import PairRss, evaluate_pair_scenario
+from repro.sic.scenarios import (
+    CASE_ORDER,
+    PairRss,
+    PairScenarioBatch,
+    evaluate_pair_scenario,
+)
 from repro.traces.downlink import DownlinkTraceConfig, DownlinkTraceGenerator
 from repro.traces.records import DownlinkMeasurement
 from repro.util.cache import ResultCache
@@ -106,23 +124,46 @@ def _fig14_chunk(batch: _ScenarioBatch, start: int,
     cannot change results.
     """
     channel = Channel(bandwidth_hz=batch.bandwidth_hz, noise_w=1.0)
-    out = {label: np.empty(n) for label in GAIN_LABELS}
-    for k in range(n):
-        i, j, a_idx, b_idx = batch.scenario_idx[start + k]
+    packet_bits = batch.packet_bits
+    pairs = []
+    snr_db = []
+    for i, j, a_idx, b_idx in batch.scenario_idx[start:start + n]:
         loc1, loc2 = batch.measurements[i], batch.measurements[j]
         ap_a, ap_b = batch.ap_names[a_idx], batch.ap_names[b_idx]
+        pairs.append((loc1, loc2, ap_a, ap_b))
+        snr_db.append((loc1.snr_db[ap_a], loc1.snr_db[ap_b],
+                       loc2.snr_db[ap_a], loc2.snr_db[ap_b]))
+    # S_j^i in noise-normalised units (N0 == 1), one row per scenario.
+    snr = db_to_linear(np.array(snr_db, dtype=float).reshape(n, 4))
 
-        rss = _scenario_rss(loc1, loc2, ap_a, ap_b)
-        scenario = evaluate_pair_scenario(channel, batch.packet_bits, rss)
+    out = {label: np.empty(n) for label in GAIN_LABELS}
+    codes: List[int] = []
+    feasible: List[bool] = []
+    z_serial: List[float] = []
+    z_sic: List[float] = []
+    for k, ((loc1, loc2, ap_a, ap_b), row) in enumerate(
+            zip(pairs, snr.tolist())):
+        rss = PairRss(*row)
+        scenario = evaluate_pair_scenario(channel, packet_bits, rss)
         out["arbitrary"][k] = scenario.gain
-        out["arbitrary+packing"][k] = two_receiver_packing_gain(
-            channel, batch.packet_bits, rss, scenario, max_fast_packets=8)
+        codes.append(CASE_ORDER.index(scenario.case))
+        feasible.append(scenario.sic_feasible)
+        z_serial.append(scenario.z_serial_s)
+        z_sic.append(scenario.z_sic_s)
 
         rates = _scenario_discrete_rates(loc1, loc2, ap_a, ap_b)
-        discrete = evaluate_discrete_pair(batch.packet_bits, rss, rates)
+        discrete = evaluate_discrete_pair(packet_bits, rss, rates)
         out["discrete"][k] = discrete.gain
         out["discrete+packing"][k] = discrete_packing_gain(
-            batch.packet_bits, discrete, rates)
+            packet_bits, discrete, rates)
+
+    scenarios = PairScenarioBatch(
+        case_codes=np.array(codes, dtype=np.uint8),
+        sic_feasible=np.array(feasible, dtype=bool),
+        z_serial_s=np.array(z_serial, dtype=float),
+        z_sic_s=np.array(z_sic, dtype=float))
+    out["arbitrary+packing"] = two_receiver_packing_gain_batch(
+        channel, packet_bits, *snr.T, scenarios, max_fast_packets=8)
     return out
 
 

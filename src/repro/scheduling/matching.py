@@ -714,20 +714,15 @@ def max_weight_matching(edges: Sequence[Edge],
     return mate
 
 
-def _small_complete_matching(
-        costs: Dict[Tuple[int, int], float],
-        n_vertices: int,
-        candidates: List[Tuple[Tuple[int, int], ...]],
-) -> Optional[Set[Tuple[int, int]]]:
-    """Enumerate the perfect matchings of a tiny complete graph.
+def _quantised_costs(costs: Dict[Tuple[int, int], float],
+                     n_vertices: int) -> Dict[Tuple[int, int], int]:
+    """Validate pair costs and map them onto an integer grid.
 
-    Returns the matching :func:`min_weight_perfect_matching` would
-    return, computed without the blossom machinery: quantise the costs
-    onto the same integer grid and pick the candidate with the unique
-    smallest integral total.  On a tie (possible only when two
-    matchings agree to one part in 1e12) returns ``None`` so the caller
-    falls through to the blossom path, whose tie-break this shortcut
-    must not second-guess.
+    Every pair must satisfy ``0 <= i < j < n_vertices`` and every cost
+    must be finite and non-negative (the errors name the offending
+    pair, or the most negative cost).  The grid is ``max_cost / 1e12``,
+    fine enough that rounding never reorders two schedules that differ
+    by more than one part in 1e12; ``round`` rounds half to even.
     """
     max_cost = 0.0
     for (i, j), cost in costs.items():
@@ -741,10 +736,22 @@ def _small_complete_matching(
         if cost > max_cost:
             max_cost = cost
     grid = max_cost / 1e12 if max_cost > 0.0 else 1.0
-    # ``round`` is half-to-even, exactly like the ``np.rint`` grid of
-    # the blossom path below.
-    int_costs = {pair: int(round(cost / grid))
-                 for pair, cost in costs.items()}
+    return {pair: int(round(cost / grid)) for pair, cost in costs.items()}
+
+
+def _small_complete_matching(
+        int_costs: Dict[Tuple[int, int], int],
+        candidates: List[Tuple[Tuple[int, int], ...]],
+) -> Optional[Set[Tuple[int, int]]]:
+    """Enumerate the perfect matchings of a tiny complete graph.
+
+    Returns the matching :func:`min_weight_perfect_matching` would
+    return, computed without the blossom machinery: pick the candidate
+    with the unique smallest total of the quantised costs.  On a tie
+    (possible only when two matchings agree to one part in 1e12)
+    returns ``None`` so the caller falls through to the blossom path,
+    whose tie-break this shortcut must not second-guess.
+    """
     best: Optional[Tuple[Tuple[int, int], ...]] = None
     best_total = 0
     tied = False
@@ -773,11 +780,11 @@ def min_weight_perfect_matching(
     Returns the matching as a set of ``(i, j)`` pairs with ``i < j``.
 
     Implementation: quantise the costs onto an integer grid (one
-    vectorised pass), transform cost -> (max + 1 - cost) so smaller
+    plain-Python pass), transform cost -> (max + 1 - cost) so smaller
     cost means bigger weight, and run :func:`max_weight_matching` in
     max-cardinality mode.  Complete graphs on 2/4/6 vertices (the bulk
     of the trace scheduler's snapshots) are solved by enumerating their
-    1/3/15 perfect matchings on the same integer grid, falling back to
+    1/3/15 perfect matchings over the same integers, falling back to
     the blossom on a quantised tie — the returned matching is identical
     either way.
     """
@@ -787,43 +794,19 @@ def min_weight_perfect_matching(
     if n_vertices == 0:
         return set()
 
-    if len(costs) == n_vertices * (n_vertices - 1) // 2:
+    int_costs = _quantised_costs(costs, n_vertices)
+    if len(int_costs) == n_vertices * (n_vertices - 1) // 2:
         candidates = _SMALL_PERFECT_MATCHINGS.get(n_vertices)
         if candidates is not None:
-            small = _small_complete_matching(costs, n_vertices, candidates)
+            small = _small_complete_matching(int_costs, candidates)
             if small is not None:
                 return small
 
     edges: List[Edge] = []
-    if costs:
-        pair_list = list(costs.keys())
-        pairs = np.array(pair_list, dtype=np.int64)
-        vals = np.fromiter(costs.values(), dtype=float, count=len(costs))
-        bad = ((pairs[:, 0] < 0) | (pairs[:, 0] >= pairs[:, 1])
-               | (pairs[:, 1] >= n_vertices))
-        if bad.any():
-            i, j = pair_list[int(np.flatnonzero(bad)[0])]
-            raise ValueError(f"bad pair ({i}, {j}) for {n_vertices} vertices")
-        nonfinite = ~np.isfinite(vals)
-        if nonfinite.any():
-            i, j = pair_list[int(np.flatnonzero(nonfinite)[0])]
-            raise ValueError(
-                f"cost of pair ({i}, {j}) is not finite: {costs[(i, j)]}")
-        if (vals < 0.0).any():
-            worst = float(vals.min())
-            raise ValueError(f"costs must be non-negative, got {worst}")
-
-        max_cost = float(vals.max())
-        # Quantisation grid fine enough that rounding never reorders two
-        # schedules that differ by more than one part in 1e12.
-        grid = max_cost / 1e12 if max_cost > 0.0 else 1.0
-        # np.rint rounds half to even, exactly like the historical
-        # ``int(round(...))`` per-pair loop.
-        int_costs = np.rint(vals / grid).astype(np.int64)
-        top = int(int_costs.max()) + 1
-        weights = (top - int_costs).tolist()
-        edges = [(int(i), int(j), w)
-                 for (i, j), w in zip(pair_list, weights)]
+    if int_costs:
+        top = max(int_costs.values()) + 1
+        edges = [(int(i), int(j), top - cost)
+                 for (i, j), cost in int_costs.items()]
 
     mate = max_weight_matching(edges, maxcardinality=True, debug=debug)
     matching = {(v, mate[v]) for v in range(len(mate)) if 0 <= v < mate[v]}

@@ -16,6 +16,7 @@ exactly the optimal pairing; slots can then run in any order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -216,6 +217,20 @@ class SicScheduler:
             raise ValueError("precomputed costs do not match the backlog")
         return precomputed
 
+    def _reject_zero_rate(self, clients: Sequence[UploadClient],
+                          rss: np.ndarray) -> None:
+        """Raise naming the first client whose solo airtime is infinite.
+
+        Its clean Shannon rate rounds to zero, so every cost on its
+        vertex is infinite and no schedule of the backlog is finite.
+        """
+        solos = solo_airtime_batch(self.channel, self.packet_bits, rss)
+        for client, solo in zip(clients, solos.tolist()):
+            if not math.isfinite(solo):
+                raise ValueError(
+                    f"client {client.name!r} cannot be scheduled: its "
+                    f"clean rate is zero (solo airtime {solo} s)")
+
     # ------------------------------------------------------------------
 
     def build_cost_graph(
@@ -231,7 +246,9 @@ class SicScheduler:
         vectorised shot via :func:`pair_airtime_batch`; element for
         element it is bit-identical to the historical per-pair loop,
         which survives as :meth:`build_cost_graph_scalar` for the golden
-        equivalence tests and the speedup benchmark.
+        equivalence tests and the speedup benchmark.  A client whose
+        clean rate is zero makes its pair costs infinite; it is rejected
+        by name.
         """
         n = len(clients)
         pre = self._check_precomputed(clients, precomputed)
@@ -243,6 +260,8 @@ class SicScheduler:
             airtimes = pair_airtime_batch(
                 self.channel, self.packet_bits, rss[ii], rss[jj],
                 techniques=self.techniques, sic_enabled=self.sic_enabled)
+            if not np.isfinite(airtimes).all():
+                self._reject_zero_rate(clients, rss)
             costs = dict(zip(zip(ii.tolist(), jj.tolist()),
                              airtimes.tolist()))
         dummy = None
@@ -332,7 +351,8 @@ class SicScheduler:
         ``cost_graph`` optionally supplies the ``(costs, dummy)``
         matching instance (e.g. sliced out of a batched cost
         computation); it must equal ``build_cost_graph(clients,
-        precomputed)``.
+        precomputed)``.  A client whose clean rate is zero is rejected
+        by name, as in :meth:`build_cost_graph`.
         """
         if not clients:
             return 1.0  # Schedule((), 0.0).gain
@@ -342,6 +362,8 @@ class SicScheduler:
         pre = self._check_precomputed(clients, precomputed)
         if len(clients) == 1:
             return 1.0  # solo / solo
+        if pre is not None and not math.isfinite(pre.serial_time_s):
+            self._reject_zero_rate(clients, pre.rss_w)
         costs, dummy = cost_graph if cost_graph is not None \
             else self.build_cost_graph(clients, pre)
         n_vertices = len(clients) + (1 if dummy is not None else 0)

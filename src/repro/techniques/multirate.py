@@ -102,6 +102,10 @@ def multirate_pair_airtime_batch(channel: Channel, packet_bits: float,
     t_strong_interfered = np.asarray(
         airtime(packet_bits, rate_strong_interfered), dtype=float)
 
-    bits_in_overlap = rate_strong_interfered * t_weak
-    boost = (packet_bits - bits_in_overlap) / rate_strong_clean
-    return np.where(t_strong_interfered <= t_weak, t_weak, t_weak + boost)
+    # A lane whose weak client has a zero clean rate (t_weak == inf)
+    # computes inf - inf here; np.where keeps t_weak for it.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bits_in_overlap = rate_strong_interfered * t_weak
+        boost = (packet_bits - bits_in_overlap) / rate_strong_clean
+        return np.where(t_strong_interfered <= t_weak, t_weak,
+                        t_weak + boost)

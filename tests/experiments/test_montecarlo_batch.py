@@ -19,19 +19,36 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.fig14 import _scenario_rss
 from repro.experiments.montecarlo import (
     MonteCarloConfig,
+    _pair_rss_batch,
     chunk_seeds,
     chunk_sizes,
     one_receiver_technique_gains,
     one_receiver_technique_gains_scalar,
+    two_receiver_packing_gain,
+    two_receiver_packing_gain_batch,
     two_receiver_scenarios,
     two_receiver_scenarios_scalar,
     two_receiver_technique_gains,
     two_receiver_technique_gains_scalar,
 )
+from repro.phy.shannon import Channel
+from repro.sic.scenarios import (
+    CASE_ORDER,
+    PairRss,
+    PairScenarioBatch,
+    evaluate_pair_scenario,
+    evaluate_pair_scenarios_batch,
+)
+from repro.topology.generators import random_pair_topologies
+from repro.traces.downlink import DownlinkTraceGenerator
 from repro.util.cache import ResultCache, array_digest
+from repro.util.rng import make_rng
 from tests.conftest import run_pooled
 
 RTOL = 1e-9
@@ -129,6 +146,85 @@ class TestTwoReceiverTechniqueEquivalence:
                               seed=44, chunk_size=77)
         for technique in serial:
             assert np.array_equal(serial[technique], parallel[technique])
+
+
+def _scalar_scenario_batch(channel, packet_bits, rss_list):
+    """Per-element scalar scenarios, recorded the way Fig. 14 does."""
+    scenarios = [evaluate_pair_scenario(channel, packet_bits, rss)
+                 for rss in rss_list]
+    batch = PairScenarioBatch(
+        case_codes=np.array([CASE_ORDER.index(sc.case) for sc in scenarios],
+                            dtype=np.uint8),
+        sic_feasible=np.array([sc.sic_feasible for sc in scenarios]),
+        z_serial_s=np.array([sc.z_serial_s for sc in scenarios]),
+        z_sic_s=np.array([sc.z_sic_s for sc in scenarios]))
+    return scenarios, batch
+
+
+def _assert_packing_matches_scalar(channel, packet_bits, rss_list,
+                                   scenarios, batch):
+    columns = [np.array([getattr(rss, name) for rss in rss_list])
+               for name in ("s11", "s12", "s21", "s22")]
+    got = two_receiver_packing_gain_batch(channel, packet_bits, *columns,
+                                          batch, max_fast_packets=8)
+    want = [two_receiver_packing_gain(channel, packet_bits, rss, scenario,
+                                      max_fast_packets=8)
+            for rss, scenario in zip(rss_list, scenarios)]
+    assert got.tolist() == want
+
+
+class TestTwoReceiverPackingGainBatch:
+    """``two_receiver_packing_gain_batch`` equals its scalar element for
+    element, bit for bit: Fig. 11b and Fig. 14 both rely on it."""
+
+    @pytest.mark.parametrize("seed", [2010, 1, 7])
+    def test_fig14_campaign(self, seed):
+        # Noise-normalised SNRs of random two-pair scenarios from the
+        # 100-location downlink campaign, as Fig. 14 evaluates them.
+        channel = Channel(bandwidth_hz=20e6, noise_w=1.0)
+        measurements = DownlinkTraceGenerator().generate(seed)
+        ap_names = measurements[0].ap_names
+        rng = np.random.default_rng(seed)
+        rss_list = []
+        for _ in range(400):
+            i, j = rng.choice(len(measurements), size=2, replace=False)
+            a, b = rng.choice(len(ap_names), size=2, replace=False)
+            rss_list.append(_scenario_rss(measurements[i], measurements[j],
+                                          ap_names[a], ap_names[b]))
+        scenarios, batch = _scalar_scenario_batch(channel, 12_000.0,
+                                                  rss_list)
+        assert set(batch.case_codes.tolist()) == {0, 1, 2, 3}
+        _assert_packing_matches_scalar(channel, 12_000.0, rss_list,
+                                       scenarios, batch)
+
+    def test_thermal_noise_fig11b_geometry(self):
+        # Watts on a thermal-noise channel, scenarios from the batched
+        # evaluator, as Fig. 11b's engine feeds them.
+        config = MonteCarloConfig(n_samples=2_000)
+        channel = config.channel()
+        topologies = random_pair_topologies(config.n_samples, config.range_m,
+                                            make_rng(11))
+        columns = _pair_rss_batch(topologies, config)
+        batch = evaluate_pair_scenarios_batch(channel, config.packet_bits,
+                                              *columns)
+        assert set(batch.case_codes.tolist()) == {0, 1, 2, 3}
+        rss_list = [PairRss(*quad) for quad in zip(
+            *(column.tolist() for column in columns))]
+        scenarios = [batch.scenario(k) for k in range(config.n_samples)]
+        _assert_packing_matches_scalar(channel, config.packet_bits,
+                                       rss_list, scenarios, batch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(min_value=1e-3, max_value=1e6)]
+                              * 4),
+                    min_size=1, max_size=24))
+    def test_positive_linear_snrs(self, quads):
+        channel = Channel(bandwidth_hz=20e6, noise_w=1.0)
+        rss_list = [PairRss(*quad) for quad in quads]
+        scenarios, batch = _scalar_scenario_batch(channel, 12_000.0,
+                                                  rss_list)
+        _assert_packing_matches_scalar(channel, 12_000.0, rss_list,
+                                       scenarios, batch)
 
 
 class TestResultCacheIntegration:

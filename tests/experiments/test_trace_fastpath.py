@@ -283,6 +283,15 @@ class TestFig14Golden:
     def test_fast_equals_scalar(self, scalar, fast):
         assert_results_identical(fast, scalar)
 
+    @pytest.mark.parametrize("seed", [2010, 1, 7])
+    def test_default_campaign_equals_scalar(self, seed):
+        # The 100-location campaign the CLI and perfbench run, in two
+        # chunks: the chunk's batched SNR conversion and packing gains
+        # must reproduce the frozen per-scenario pipeline bit for bit.
+        kw = dict(n_scenarios=500, seed=seed)
+        assert_results_identical(fig14.compute(**kw),
+                                 fig14.compute_scalar(**kw))
+
     def test_parallel_equals_serial(self, fast):
         assert_results_identical(
             run_pooled(2, fig14.compute, **self.KW), fast)

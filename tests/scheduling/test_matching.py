@@ -306,6 +306,7 @@ class TestSmallCompleteShortcut:
     def test_shortcut_agrees_with_scalar_blossom(self):
         from repro.scheduling.matching import (
             _SMALL_PERFECT_MATCHINGS,
+            _quantised_costs,
             _small_complete_matching,
         )
         rng = random.Random(17)
@@ -314,13 +315,14 @@ class TestSmallCompleteShortcut:
             costs = {(i, j): rng.uniform(1e-5, 5e-4)
                      for i, j in itertools.combinations(range(n), 2)}
             small = _small_complete_matching(
-                costs, n, _SMALL_PERFECT_MATCHINGS[n])
+                _quantised_costs(costs, n), _SMALL_PERFECT_MATCHINGS[n])
             if small is not None:
                 assert small == min_weight_perfect_matching_scalar(costs, n)
 
     def test_tie_defers_to_blossom(self):
         from repro.scheduling.matching import (
             _SMALL_PERFECT_MATCHINGS,
+            _quantised_costs,
             _small_complete_matching,
         )
         # All-equal costs: every matching totals the same, so the
@@ -328,7 +330,7 @@ class TestSmallCompleteShortcut:
         costs = {(i, j): 2.5e-4
                  for i, j in itertools.combinations(range(4), 2)}
         assert _small_complete_matching(
-            costs, 4, _SMALL_PERFECT_MATCHINGS[4]) is None
+            _quantised_costs(costs, 4), _SMALL_PERFECT_MATCHINGS[4]) is None
         assert min_weight_perfect_matching(costs, 4) == \
             min_weight_perfect_matching_scalar(costs, 4)
 
@@ -350,16 +352,17 @@ class TestSmallCompleteShortcut:
             min_weight_perfect_matching(costs, 4)
 
     def test_validation_matches_blossom_path(self):
-        from repro.scheduling.matching import (
-            _SMALL_PERFECT_MATCHINGS,
-            _small_complete_matching,
-        )
-        bad_pair = {(1, 0): 1.0}
-        with pytest.raises(ValueError, match="bad pair"):
-            _small_complete_matching(bad_pair, 2, _SMALL_PERFECT_MATCHINGS[2])
-        negative = {(0, 1): -1.0}
-        with pytest.raises(ValueError, match="non-negative"):
-            _small_complete_matching(negative, 2, _SMALL_PERFECT_MATCHINGS[2])
+        # One validation serves the enumeration (n = 2) and the
+        # blossom (n = 8): same errors, same messages.
+        for n in (2, 8):
+            costs = {pair: 1.0
+                     for pair in itertools.combinations(range(n), 2)}
+            with pytest.raises(ValueError,
+                               match=rf"bad pair \(1, 0\) for {n} vertices"):
+                min_weight_perfect_matching({**costs, (1, 0): 1.0}, n)
+            with pytest.raises(ValueError, match=r"costs must be "
+                                                 r"non-negative, got -1\.0"):
+                min_weight_perfect_matching({**costs, (0, 1): -1.0}, n)
 
     def test_small_sizes_end_to_end_match_scalar(self):
         rng = random.Random(23)

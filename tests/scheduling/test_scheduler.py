@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.shannon import Channel
+from repro.scheduling import scheduler as scheduler_module
 from repro.scheduling.baselines import brute_force_schedule
 from repro.scheduling.scheduler import (
     Schedule,
@@ -56,23 +57,35 @@ class TestScheduleBasics:
         with pytest.raises(ValueError, match="unique"):
             scheduler.schedule(clients)
 
-    # Costing a pair with an infinite airtime trips an invalid-value
-    # warning in the multirate kernel; the costs stay non-finite.
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("n_live", [3, 7])
-    def test_zero_rate_client_rejected(self, n_live):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_live", [2, 3, 6, 7])
+    def test_zero_rate_client_rejected(self, n_live, monkeypatch):
         # The last client's clean Shannon rate rounds to 0, so its
-        # airtime is infinite.  The matching must refuse the cost graph,
-        # naming the first pair with a non-finite cost, rather than
-        # return a schedule of infinite length.
+        # airtime is infinite.  Both entry points must refuse the
+        # backlog before any matching, naming the client rather than
+        # a vertex pair, at odd and even backlog sizes, and costing
+        # its pairs must not warn.
+        def no_matching(*args, **kwargs):
+            raise AssertionError("the matching ran")
+
+        monkeypatch.setattr(scheduler_module, "min_weight_perfect_matching",
+                            no_matching)
         scheduler = SicScheduler(techniques=TechniqueSet.ALL)
         clients = [UploadClient(f"C{i}", 1e-9 * (i + 1))
                    for i in range(n_live)]
         clients.append(UploadClient("dead", 1e-30))
-        with pytest.raises(ValueError,
-                           match=rf"cost of pair \(0, {n_live}\) is not "
-                                 r"finite: inf"):
-            scheduler.schedule(clients)
+        pre = scheduler.precompute_costs(clients)
+        for call in (lambda: scheduler.schedule(clients),
+                     lambda: scheduler.schedule(clients, precomputed=pre),
+                     lambda: scheduler.schedule_gain(clients),
+                     lambda: scheduler.schedule_gain(clients,
+                                                     precomputed=pre),
+                     # Fig. 13's path: the cost graph comes precomputed.
+                     lambda: scheduler.schedule_gain(
+                         clients, precomputed=pre, cost_graph=({}, None))):
+            with pytest.raises(ValueError,
+                               match=r"client 'dead' cannot be scheduled"):
+                call()
 
     def test_every_client_scheduled_once(self, scheduler, rng):
         clients = make_clients(10 ** rng.uniform(-12, -8, size=9))
