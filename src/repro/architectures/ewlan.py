@@ -57,7 +57,6 @@ from repro.topology.generators import WlanTopology, ewlan_grid
 from repro.topology.nodes import DEFAULT_TX_POWER_W
 from repro.util.cache import ResultCache
 from repro.util.rng import SeedLike, make_rng
-from repro.util.timing import PhaseTimer, maybe_phase
 from repro.util.validation import check_positive
 
 
@@ -239,7 +238,6 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
                                chunk_size: Optional[int] = None,
                                cache: Optional[ResultCache] = None,
                                policy: Optional[ExecutionPolicy] = None,
-                               timer: Optional[PhaseTimer] = None,
                                ) -> EwlanCrossPairReport:
     """Sample concurrent cross-AP uplink pairs and classify them.
 
@@ -252,8 +250,7 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
     :func:`evaluate_ewlan_cross_pairs_scalar` for any seed, chunk size
     and ``policy.pool``.  Of the shadowed propagation models it replays
     only :class:`LogDistancePathLoss`; any other raises ``ValueError``
-    before a draw.  ``timer`` splits wall-clock into ``sample`` /
-    ``evaluate`` / ``aggregate``.
+    before a draw.
     """
     if n_grids < 1:
         raise ValueError("need at least one grid")
@@ -270,41 +267,38 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
     token = seed_cache_token(seed)
     rng = make_rng(seed)
 
-    with maybe_phase(timer, "sample"):
-        distances, shadow_db = _sample_cross_pair_distances(
-            n_grids, ap_rows, ap_cols, ap_spacing_m, clients_per_ap,
-            rng, sigma_db)
+    distances, shadow_db = _sample_cross_pair_distances(
+        n_grids, ap_rows, ap_cols, ap_spacing_m, clients_per_ap,
+        rng, sigma_db)
     if distances.shape[0] == 0:
         raise RuntimeError("no cross-AP pairs sampled; grid too sparse")
 
-    with maybe_phase(timer, "evaluate"):
-        batch = PairDistanceBatch(
-            distances_m=distances, shadow_db=shadow_db,
-            tx_power_w=DEFAULT_TX_POWER_W, packet_bits=packet_bits,
-            channel=channel, propagation=propagation)
-        cache_key = pair_sweep_cache_key(
-            "ewlan",
-            {"n_grids": n_grids, "ap_rows": ap_rows, "ap_cols": ap_cols,
-             "ap_spacing_m": ap_spacing_m,
-             "clients_per_ap": clients_per_ap,
-             "packet_bits": packet_bits},
-            channel, propagation, token)
-        merged = run_indexed(
-            "ewlan", pair_scenario_chunk, batch, distances.shape[0],
-            code_version=1, cache_key=cache_key,
-            chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
-            cache=cache, policy=policy)
+    batch = PairDistanceBatch(
+        distances_m=distances, shadow_db=shadow_db,
+        tx_power_w=DEFAULT_TX_POWER_W, packet_bits=packet_bits,
+        channel=channel, propagation=propagation)
+    cache_key = pair_sweep_cache_key(
+        "ewlan",
+        {"n_grids": n_grids, "ap_rows": ap_rows, "ap_cols": ap_cols,
+         "ap_spacing_m": ap_spacing_m,
+         "clients_per_ap": clients_per_ap,
+         "packet_bits": packet_bits},
+        channel, propagation, token)
+    merged = run_indexed(
+        "ewlan", pair_scenario_chunk, batch, distances.shape[0],
+        code_version=1, cache_key=cache_key,
+        chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
+        cache=cache, policy=policy)
 
-    with maybe_phase(timer, "aggregate"):
-        n_pairs = int(merged["gains"].shape[0])
-        report = EwlanCrossPairReport(
-            n_pairs=n_pairs,
-            case_fractions=sorted_case_fractions(merged["case_codes"],
-                                                 n_pairs),
-            sic_feasible_fraction=(
-                int(np.count_nonzero(merged["sic_feasible"])) / n_pairs),
-            mean_gain=sequential_sum(merged["gains"]) / n_pairs,
-        )
+    n_pairs = int(merged["gains"].shape[0])
+    report = EwlanCrossPairReport(
+        n_pairs=n_pairs,
+        case_fractions=sorted_case_fractions(merged["case_codes"],
+                                             n_pairs),
+        sic_feasible_fraction=(
+            int(np.count_nonzero(merged["sic_feasible"])) / n_pairs),
+        mean_gain=sequential_sum(merged["gains"]) / n_pairs,
+    )
     return report
 
 

@@ -25,7 +25,6 @@ from repro.phy.pathloss import LogDistancePathLoss, PropagationModel
 from repro.phy.shannon import Channel, shannon_rate
 from repro.topology.generators import MIN_LINK_DISTANCE_M, mesh_chain
 from repro.topology.nodes import DEFAULT_TX_POWER_W
-from repro.util.timing import PhaseTimer, maybe_phase
 from repro.util.validation import check_in_range, check_positive
 
 
@@ -130,8 +129,6 @@ def sweep_chain_geometries(channel: Channel,
                            short_hops_m: Sequence[float] = (2.0, 5.0,
                                                             10.0, 20.0),
                            propagation: Optional[PropagationModel] = None,
-                           *,
-                           timer: Optional[PhaseTimer] = None,
                            ) -> List[ChainAnalysis]:
     """Analyse every (long, short) combination in one array pass.
 
@@ -150,65 +147,62 @@ def sweep_chain_geometries(channel: Channel,
     if not combos:
         return []
 
-    with maybe_phase(timer, "sample"):
-        # Same validation sequence analyse_chain + mesh_chain apply,
-        # in the scalar visiting order.
-        for long_m, short_m in combos:
-            check_positive("long_hop_m", long_m)
-            check_positive("short_hop_m", short_m)
-            for length in (long_m, short_m, long_m):
-                check_in_range("hop length", length,
-                               low=MIN_LINK_DISTANCE_M)
-        long_v = np.array([c[0] for c in combos], dtype=float)
-        short_v = np.array([c[1] for c in combos], dtype=float)
-        # Node positions accumulate exactly as mesh_chain lays them
-        # out; hop distances are position differences (x_c + short - x_c
-        # need not round back to short, so diff like the scalar does).
-        x_c = 0.0 + long_v
-        x_d = x_c + short_v
-        x_e = x_d + long_v
-        d_ac = np.maximum(np.abs(0.0 - x_c), 1.0)
-        d_dc = np.maximum(np.abs(x_d - x_c), 1.0)
-        d_de = np.maximum(np.abs(x_d - x_e), 1.0)
-        d_cd = np.maximum(np.abs(x_c - x_d), 1.0)
+    # Same validation sequence analyse_chain + mesh_chain apply,
+    # in the scalar visiting order.
+    for long_m, short_m in combos:
+        check_positive("long_hop_m", long_m)
+        check_positive("short_hop_m", short_m)
+        for length in (long_m, short_m, long_m):
+            check_in_range("hop length", length,
+                           low=MIN_LINK_DISTANCE_M)
+    long_v = np.array([c[0] for c in combos], dtype=float)
+    short_v = np.array([c[1] for c in combos], dtype=float)
+    # Node positions accumulate exactly as mesh_chain lays them
+    # out; hop distances are position differences (x_c + short - x_c
+    # need not round back to short, so diff like the scalar does).
+    x_c = 0.0 + long_v
+    x_d = x_c + short_v
+    x_e = x_d + long_v
+    d_ac = np.maximum(np.abs(0.0 - x_c), 1.0)
+    d_dc = np.maximum(np.abs(x_d - x_c), 1.0)
+    d_de = np.maximum(np.abs(x_d - x_e), 1.0)
+    d_cd = np.maximum(np.abs(x_c - x_d), 1.0)
 
-    with maybe_phase(timer, "evaluate"):
-        b, n0 = channel.bandwidth_hz, channel.noise_w
-        packet_bits = 12_000.0
-        s_ac = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_ac)
-        s_dc = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_dc)
-        s_de = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_de)
-        s_cd = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_cd)
+    b, n0 = channel.bandwidth_hz, channel.noise_w
+    packet_bits = 12_000.0
+    s_ac = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_ac)
+    s_dc = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_dc)
+    s_de = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_de)
+    s_cd = propagation.received_power_batch(DEFAULT_TX_POWER_W, d_cd)
 
-        r_ac = shannon_rate(b, s_ac, 0.0, n0)
-        r_cd = shannon_rate(b, s_cd, 0.0, n0)
-        r_de = shannon_rate(b, s_de, 0.0, n0)
-        # sum(t for t in (t_ac, t_cd, t_de)) associates left to right.
-        serial_time = (packet_bits / r_ac + packet_bits / r_cd) \
-            + packet_bits / r_de
+    r_ac = shannon_rate(b, s_ac, 0.0, n0)
+    r_cd = shannon_rate(b, s_cd, 0.0, n0)
+    r_de = shannon_rate(b, s_de, 0.0, n0)
+    # sum(t for t in (t_ac, t_cd, t_de)) associates left to right.
+    serial_time = (packet_bits / r_ac + packet_bits / r_cd) \
+        + packet_bits / r_de
 
-        r_dc_limit = shannon_rate(b, s_dc, s_ac, n0)
-        sic_feasible = (s_dc > s_ac) & (r_de <= r_dc_limit)
-        overlapped = np.maximum(packet_bits / r_ac, packet_bits / r_de)
-        sic_time = np.where(sic_feasible,
-                            overlapped + packet_bits / r_cd, serial_time)
+    r_dc_limit = shannon_rate(b, s_dc, s_ac, n0)
+    sic_feasible = (s_dc > s_ac) & (r_de <= r_dc_limit)
+    overlapped = np.maximum(packet_bits / r_ac, packet_bits / r_de)
+    sic_time = np.where(sic_feasible,
+                        overlapped + packet_bits / r_cd, serial_time)
 
-    with maybe_phase(timer, "aggregate"):
-        serial_bps = (packet_bits / serial_time).tolist()
-        sic_bps = (packet_bits / sic_time).tolist()
-        bottleneck = np.minimum(np.minimum(r_ac, r_cd), r_de).tolist()
-        feasible = sic_feasible.tolist()
-        results = [
-            ChainAnalysis(
-                long_hop_m=long_m,
-                short_hop_m=short_m,
-                sic_feasible=bool(feasible[k]),
-                throughput_serial_bps=float(serial_bps[k]),
-                throughput_sic_bps=float(sic_bps[k]),
-                bottleneck_rate_bps=float(bottleneck[k]),
-            )
-            for k, (long_m, short_m) in enumerate(combos)
-        ]
+    serial_bps = (packet_bits / serial_time).tolist()
+    sic_bps = (packet_bits / sic_time).tolist()
+    bottleneck = np.minimum(np.minimum(r_ac, r_cd), r_de).tolist()
+    feasible = sic_feasible.tolist()
+    results = [
+        ChainAnalysis(
+            long_hop_m=long_m,
+            short_hop_m=short_m,
+            sic_feasible=bool(feasible[k]),
+            throughput_serial_bps=float(serial_bps[k]),
+            throughput_sic_bps=float(sic_bps[k]),
+            bottleneck_rate_bps=float(bottleneck[k]),
+        )
+        for k, (long_m, short_m) in enumerate(combos)
+    ]
     return results
 
 

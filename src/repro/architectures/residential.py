@@ -57,7 +57,6 @@ from repro.topology.nodes import DEFAULT_TX_POWER_W
 from repro.util.cache import ResultCache
 from repro.util.cdf import gain_cdf_summary
 from repro.util.rng import SeedLike, make_rng
-from repro.util.timing import PhaseTimer, maybe_phase
 from repro.util.validation import check_positive
 
 
@@ -245,7 +244,6 @@ def evaluate_residential_rows(n_rows: int = 400,
                               chunk_size: Optional[int] = None,
                               cache: Optional[ResultCache] = None,
                               policy: Optional[ExecutionPolicy] = None,
-                              timer: Optional[PhaseTimer] = None,
                               ) -> ResidentialReport:
     """Monte-Carlo over apartment rows; returns the §4.2 summary.
 
@@ -253,8 +251,7 @@ def evaluate_residential_rows(n_rows: int = 400,
     :func:`evaluate_residential_rows_scalar` for any seed, chunk size
     and ``policy.pool``.  Of the shadowed propagation models it replays
     only :class:`LogDistancePathLoss`; any other raises ``ValueError``
-    before a draw.  ``timer`` splits wall-clock into ``sample`` /
-    ``evaluate`` / ``aggregate``.
+    before a draw.
     """
     if n_rows < 1:
         raise ValueError("need at least one row")
@@ -274,39 +271,36 @@ def evaluate_residential_rows(n_rows: int = 400,
     token = seed_cache_token(seed)
     rng = make_rng(seed)
 
-    with maybe_phase(timer, "sample"):
-        distances, shadow_db = _sample_cross_home_distances(
-            n_rows, n_homes, home_width_m, clients_per_home, rng,
-            sigma_db)
+    distances, shadow_db = _sample_cross_home_distances(
+        n_rows, n_homes, home_width_m, clients_per_home, rng,
+        sigma_db)
     if distances.shape[0] == 0:
         raise RuntimeError("no cross-home pairs sampled")
 
-    with maybe_phase(timer, "evaluate"):
-        batch = PairDistanceBatch(
-            distances_m=distances, shadow_db=shadow_db,
-            tx_power_w=DEFAULT_TX_POWER_W, packet_bits=packet_bits,
-            channel=channel, propagation=propagation)
-        cache_key = pair_sweep_cache_key(
-            "residential",
-            {"n_rows": n_rows, "n_homes": n_homes,
-             "home_width_m": home_width_m,
-             "clients_per_home": clients_per_home,
-             "packet_bits": packet_bits},
-            channel, propagation, token)
-        merged = run_indexed(
-            "residential", pair_scenario_chunk, batch,
-            distances.shape[0], code_version=1, cache_key=cache_key,
-            chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
-            cache=cache, policy=policy)
+    batch = PairDistanceBatch(
+        distances_m=distances, shadow_db=shadow_db,
+        tx_power_w=DEFAULT_TX_POWER_W, packet_bits=packet_bits,
+        channel=channel, propagation=propagation)
+    cache_key = pair_sweep_cache_key(
+        "residential",
+        {"n_rows": n_rows, "n_homes": n_homes,
+         "home_width_m": home_width_m,
+         "clients_per_home": clients_per_home,
+         "packet_bits": packet_bits},
+        channel, propagation, token)
+    merged = run_indexed(
+        "residential", pair_scenario_chunk, batch,
+        distances.shape[0], code_version=1, cache_key=cache_key,
+        chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
+        cache=cache, policy=policy)
 
-    with maybe_phase(timer, "aggregate"):
-        n_pairs = int(merged["gains"].shape[0])
-        report = ResidentialReport(
-            n_pairs=n_pairs,
-            case_fractions=sorted_case_fractions(merged["case_codes"],
-                                                 n_pairs),
-            sic_feasible_fraction=(
-                int(np.count_nonzero(merged["sic_feasible"])) / n_pairs),
-            gain_summary=gain_cdf_summary(merged["gains"]),
-        )
+    n_pairs = int(merged["gains"].shape[0])
+    report = ResidentialReport(
+        n_pairs=n_pairs,
+        case_fractions=sorted_case_fractions(merged["case_codes"],
+                                             n_pairs),
+        sic_feasible_fraction=(
+            int(np.count_nonzero(merged["sic_feasible"])) / n_pairs),
+        gain_summary=gain_cdf_summary(merged["gains"]),
+    )
     return report

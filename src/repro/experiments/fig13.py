@@ -152,6 +152,8 @@ def _fig13_chunk(batch: _SnapshotBatch, start: int,
         clients = [UploadClient(name, rss) for name, rss in backlog]
         solos = all_solos[client_at:client_at + m]
         precomputed = BacklogCosts(
+            channel=channel,
+            packet_bits=packet_bits,
             names=tuple(name for name, _ in backlog),
             rss_w=rss_arrays[k],
             solo_airtime_s=solos,

@@ -40,7 +40,7 @@ from repro.phy.noise import thermal_noise_watts
 from repro.phy.shannon import Channel
 from repro.util.cache import ResultCache
 from repro.util.rng import SeedLike, spawn_rngs, spawn_seed_sequences
-from repro.util.timing import PhaseTimer
+from repro.util.timing import PhaseTimer, maybe_phase
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 
@@ -83,28 +83,32 @@ def compute(n_ewlan_grids: int = 100,
     Batched fast path, bit-identical to :func:`compute_scalar`.  The
     seed is split with ``spawn_seed_sequences`` (stream-identical to
     the scalar path's ``spawn_rngs``) so the children stay picklable
-    and cache-tokenizable for the supervised runner.
+    and cache-tokenizable for the supervised runner.  ``timer``
+    charges one phase per study: ``ewlan``, ``residential`` and
+    ``mesh`` (the frontier included).
     """
     channel = Channel(bandwidth_hz=DEFAULT_BANDWIDTH_HZ,
                       noise_w=thermal_noise_watts(DEFAULT_BANDWIDTH_HZ))
     seed_ewlan, seed_res = spawn_seed_sequences(seed, 2)
-    ewlan = evaluate_ewlan_cross_pairs(n_grids=n_ewlan_grids,
-                                       channel=channel, seed=seed_ewlan,
-                                       chunk_size=chunk_size,
-                                       cache=cache, policy=policy,
-                                       timer=timer)
-    residential = evaluate_residential_rows(n_rows=n_residential_rows,
-                                            channel=channel,
-                                            seed=seed_res,
-                                            chunk_size=chunk_size,
-                                            cache=cache, policy=policy,
-                                            timer=timer)
-    mesh = sweep_chain_geometries(channel, timer=timer)
+    with maybe_phase(timer, "ewlan"):
+        ewlan = evaluate_ewlan_cross_pairs(n_grids=n_ewlan_grids,
+                                           channel=channel, seed=seed_ewlan,
+                                           chunk_size=chunk_size,
+                                           cache=cache, policy=policy)
+    with maybe_phase(timer, "residential"):
+        residential = evaluate_residential_rows(n_rows=n_residential_rows,
+                                                channel=channel,
+                                                seed=seed_res,
+                                                chunk_size=chunk_size,
+                                                cache=cache, policy=policy)
+    with maybe_phase(timer, "mesh"):
+        mesh = sweep_chain_geometries(channel)
+        frontier = feasibility_frontier(mesh)
     return {
         "ewlan": ewlan,
         "residential": residential,
         "mesh": mesh,
-        "mesh_frontier": feasibility_frontier(mesh),
+        "mesh_frontier": frontier,
     }
 
 

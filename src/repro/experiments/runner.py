@@ -45,9 +45,9 @@ submitted, opened and closed by its caller.  A supervisor pools
 only when :attr:`ExecutionPolicy.pool` holds such a pool (the suite
 engine, :mod:`repro.experiments.suite`, shares one across figures) and
 more than one chunk is pending; otherwise it runs its chunks
-in-process.  Orthogonally, :attr:`ExecutionPolicy.transport` enables
-the zero-copy chunk transport (:mod:`repro.experiments.transport`):
-workers park large results in shared memory and the supervisor decodes
+in-process.  Every pooled chunk result goes through the zero-copy
+chunk transport (:mod:`repro.experiments.transport`): workers park
+results of 64 KiB or more in shared memory and the supervisor decodes
 them on consumption; the pool releases any abandoned segment on every
 recovery path.
 """
@@ -69,7 +69,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.experiments.transport import (
-    TransportPolicy,
     TransportStats,
     decode_chunk,
     encode_chunk,
@@ -220,11 +219,10 @@ class ExecutionPolicy:
     ``pool`` plugs in a :class:`SuitePool` owned by the caller (the
     suite engine's): pooled rounds then submit chunks to that pool,
     labelled with the engine name, and a broken round asks it to
-    rebuild.  Without one, every chunk runs in-process.  ``transport``
-    opts pooled chunk results into the shared-memory transport
-    (:mod:`repro.experiments.transport`); ``transport_stats`` is the
-    parent-side byte counter the suite summary reads.  Neither knob
-    ever changes results — chunks stay pure functions of
+    rebuild.  Without one, every chunk runs in-process.
+    ``transport_stats`` counts, parent-side, how pooled chunk results
+    travelled (shared memory or pickle); the suite summary reads it.
+    Neither field ever changes results — chunks stay pure functions of
     ``(config, seed, size)``.
     """
 
@@ -234,7 +232,6 @@ class ExecutionPolicy:
     faults: Optional[FaultInjector] = None
     watchdog: Optional[Watchdog] = None
     pool: Optional[SuitePool] = None
-    transport: Optional[TransportPolicy] = None
     transport_stats: Optional[TransportStats] = None
 
     def __post_init__(self) -> None:
@@ -311,24 +308,21 @@ def _resolve_cache(cache: Optional[ResultCache]) -> ResultCache:
 def _guarded_chunk(chunk_fn: ChunkFn, config: object, seed: SeedLike,
                    n: int, kwargs: Mapping[str, object],
                    faults: Optional[FaultInjector], engine: str,
-                   chunk_index: int, attempt: int,
-                   transport: Optional[TransportPolicy] = None
+                   chunk_index: int, attempt: int, pooled: bool = False
                    ) -> Union[ChunkResult, object]:
     """Evaluate one chunk attempt, applying injected faults first.
 
     Module-level (not a closure) so the pool can pickle it; runs inside
     the worker, so an injected fault exercises the same
-    exception-through-``Future`` path a real crash does.  ``transport``
-    is set only for pooled attempts: the result then rides a
+    exception-through-``Future`` path a real crash does.  A ``pooled``
+    attempt's result goes through :func:`encode_chunk`: it rides a
     shared-memory segment (descriptor returned) when the payload
     qualifies, and the supervisor decodes it on receipt.
     """
     if faults is not None:
         faults.check_chunk(engine, chunk_index, attempt)
     result = chunk_fn(config, seed, n, **kwargs)
-    if transport is not None:
-        return encode_chunk(result, transport)
-    return result
+    return encode_chunk(result) if pooled else result
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +619,9 @@ class _Supervisor:
 
     def _submit_args(self, index: int, pooled: bool = False) -> tuple:
         attempt = self.next_attempt.setdefault(index, 1)
-        args = (self.chunk_fn, self.config, self.seeds[index],
+        return (self.chunk_fn, self.config, self.seeds[index],
                 self.sizes[index], self.kwargs, self.policy.faults,
-                self.engine, index, attempt)
-        if pooled and self.policy.transport is not None:
-            return args + (self.policy.transport,)
-        return args
+                self.engine, index, attempt, pooled)
 
     def _decoded(self, raw: object) -> ChunkResult:
         """Materialise a pooled result (shared-memory or pickled)."""

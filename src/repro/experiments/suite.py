@@ -26,13 +26,13 @@ chunks run.  Suite-mode outputs are therefore bit-identical to
 per-figure sequential runs for any worker count or interleaving
 (pinned by the golden tests in ``tests/experiments/test_suite.py``).
 
-Transport: suite runs enable the shared-memory chunk transport
-(:mod:`repro.experiments.transport`) with the caller's
-``policy.transport``, else the default :class:`TransportPolicy`, so a
-chunk result of 64 KiB or more skips the pickle round-trip.  No chunk
-of a CLI run is that large: paper-scale ``all`` pickles every chunk.
-A :class:`TransportStats` counter feeds the suite summary (per-figure
-wall time, pool utilization, transport bytes).
+Transport: like every pooled run, a suite run ships each chunk result
+of 64 KiB or more through shared memory
+(:mod:`repro.experiments.transport`) instead of pickling it.  No chunk
+of a CLI run at default or ``--quick`` scale is that large: paper-scale
+``all`` pickles every chunk.  A :class:`TransportStats` counter feeds
+the suite summary (per-figure wall time, pool utilization, transport
+bytes).
 
 Failure semantics: a broken round (``BrokenProcessPool``, watchdog
 trip, injected break) asks the pool to rebuild its executor once for
@@ -63,7 +63,7 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.experiments.runner import ExecutionPolicy, SuitePool
-from repro.experiments.transport import TransportPolicy, TransportStats
+from repro.experiments.transport import TransportStats
 
 
 @dataclass
@@ -153,9 +153,8 @@ def run_suite(figures: Optional[List[str]] = None,
     calling ``compute()`` directly with the same kwargs.  Supervised
     figures additionally receive ``policy`` (default
     :meth:`ExecutionPolicy.from_env`) carrying the shared pool and the
-    shared-memory transport: ``policy.transport`` when set, else the
-    default :class:`TransportPolicy` (unless the caller already pinned
-    a ``policy`` kwarg for that figure).
+    suite's transport counters (unless the caller already pinned a
+    ``policy`` kwarg for that figure).
 
     Figure errors are collected so every figure gets to finish; the
     first failure in paper order is re-raised after all threads settle.
@@ -173,12 +172,8 @@ def run_suite(figures: Optional[List[str]] = None,
     suite_pool = pool if pool is not None else SuitePool(n_workers)
     stats = TransportStats()
     base_policy = policy if policy is not None else ExecutionPolicy.from_env()
-    suite_policy = replace(
-        base_policy, pool=suite_pool,
-        transport=(base_policy.transport
-                   if base_policy.transport is not None
-                   else TransportPolicy()),
-        transport_stats=stats)
+    suite_policy = replace(base_policy, pool=suite_pool,
+                           transport_stats=stats)
 
     outcomes = {figure: FigureOutcome(figure, None, 0.0)
                 for figure in requested}

@@ -4,8 +4,8 @@ The supervised runner ships every completed chunk from a worker process
 back to the supervisor as a dict of NumPy arrays.  By default that trip
 is a pickle: the worker serialises each array into the result pipe and
 the parent deserialises it — two full copies plus framing for payloads
-that are nothing but raw ``float64`` buffers.  For the large fig13 /
-fig7 chunk payloads this serialisation tax is pure overhead.
+that are nothing but raw ``float64`` buffers.  For a large payload (a
+30,000-draw Fig. 6 chunk) this serialisation tax is pure overhead.
 
 This module provides the alternative: the worker packs the chunk's
 arrays into one :class:`multiprocessing.shared_memory.SharedMemory`
@@ -13,19 +13,21 @@ segment and returns a tiny :class:`ShmChunk` descriptor (segment name
 plus per-array dtype/shape/offset specs).  The parent attaches the
 segment, materialises the arrays straight out of the mapped buffer,
 then closes and unlinks it.  Only the descriptor crosses the pickle
-boundary.
+boundary.  The supervised runner encodes the result of every pooled
+chunk attempt, whoever opened the pool; in-process attempts never
+encode.
 
 Fallback rules — the transport **never** changes results, it only
 changes how bytes move, so every fallback silently returns the plain
 dict for ordinary pickling:
 
-* the platform has no usable ``shared_memory`` (non-POSIX, ``/dev/shm``
-  mounted ``noexec``/absent, import failure);
-* the chunk is small (``total nbytes < policy.min_bytes``) — pickling
-  small results is faster than a segment round-trip;
+* the chunk is small (``total nbytes <`` :data:`MIN_SHM_BYTES`) —
+  pickling small results is faster than a segment round-trip;
 * a value is not an ``ndarray``, or its dtype is ``object`` (pointer
   arrays cannot live in shared memory);
-* segment allocation fails (``OSError`` — e.g. ``/dev/shm`` full).
+* the segment cannot be created: ``multiprocessing.shared_memory``
+  does not import (``ImportError``, a platform without it), or
+  allocation fails (``OSError`` — ``/dev/shm`` absent or full).
 
 Leak discipline: segments are created in workers and unlinked by
 exactly one parent-side consumer (:func:`decode_chunk`), or by
@@ -59,23 +61,7 @@ SHM_NAME_PREFIX = "repro_shm_"
 
 #: Below this payload size a pickle round-trip beats a segment
 #: create/attach/unlink cycle; measured crossover is tens of KiB.
-DEFAULT_MIN_BYTES = 1 << 16
-
-
-@dataclass(frozen=True)
-class TransportPolicy:
-    """Worker-side knobs of the shared-memory transport.
-
-    Picklable and tiny on purpose: the supervisor sends one per chunk
-    submission, and the worker decides per-chunk whether the payload
-    rides shared memory or falls back to pickling.
-    """
-
-    min_bytes: int = DEFAULT_MIN_BYTES
-
-    def __post_init__(self) -> None:
-        if self.min_bytes < 0:
-            raise ValueError("min_bytes must be non-negative")
+MIN_SHM_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -131,37 +117,6 @@ class TransportStats:
                     "pickled_bytes": self.pickled_bytes}
 
 
-# ---------------------------------------------------------------------------
-# Availability probing
-# ---------------------------------------------------------------------------
-
-_AVAILABLE: Optional[bool] = None
-
-
-def shm_available() -> bool:
-    """Whether this platform can create and map a shared-memory segment.
-
-    Probed once per process by actually allocating (and immediately
-    unlinking) a one-byte segment, so exotic container setups that stub
-    the module but reject ``shm_open`` still fall back cleanly.
-    """
-    global _AVAILABLE
-    if _AVAILABLE is None:
-        _AVAILABLE = _probe()
-    return _AVAILABLE
-
-
-def _probe() -> bool:
-    try:
-        from multiprocessing import shared_memory
-        segment = shared_memory.SharedMemory(create=True, size=1)
-        segment.close()
-        segment.unlink()
-        return True
-    except Exception:
-        return False
-
-
 def ensure_resource_tracker() -> None:
     """Start the parent's resource tracker before any pool forks.
 
@@ -194,11 +149,8 @@ def _segment_name() -> str:
     return f"{SHM_NAME_PREFIX}{os.getpid()}_{_SEQUENCE}_{token}"
 
 
-def _eligible(result: ChunkResult, policy: TransportPolicy
-              ) -> Optional[List[Tuple[str, np.ndarray]]]:
+def _eligible(result: ChunkResult) -> Optional[List[Tuple[str, np.ndarray]]]:
     """The arrays to pack, or ``None`` when the chunk must pickle."""
-    if not result:
-        return None
     arrays: List[Tuple[str, np.ndarray]] = []
     total = 0
     for name, value in result.items():
@@ -206,26 +158,21 @@ def _eligible(result: ChunkResult, policy: TransportPolicy
             return None
         arrays.append((name, value))
         total += value.nbytes
-    if total < policy.min_bytes:
+    if total < MIN_SHM_BYTES:
         return None
     return arrays
 
 
-def encode_chunk(result: ChunkResult, policy: Optional[TransportPolicy]
-                 ) -> Union[ChunkResult, ShmChunk]:
+def encode_chunk(result: ChunkResult) -> Union[ChunkResult, ShmChunk]:
     """Pack a chunk result into shared memory (worker side).
 
     Returns the original dict whenever any fallback rule applies; the
     caller pickles whatever comes back, so the function can never fail
     a chunk — at worst it declines the optimisation.
     """
-    if policy is None or not shm_available():
-        return result
-    arrays = _eligible(result, policy)
+    arrays = _eligible(result)
     if arrays is None:
         return result
-
-    from multiprocessing import shared_memory
 
     specs: List[_ArraySpec] = []
     offset = 0
@@ -238,9 +185,10 @@ def encode_chunk(result: ChunkResult, policy: Optional[TransportPolicy]
         packed.append((offset, contiguous))
         offset += contiguous.nbytes
     try:
-        segment = shared_memory.SharedMemory(create=True, size=max(offset, 1),
+        from multiprocessing import shared_memory
+        segment = shared_memory.SharedMemory(create=True, size=offset,
                                              name=_segment_name())
-    except OSError:
+    except (ImportError, OSError):
         return result
     try:
         for start, contiguous in packed:
@@ -340,15 +288,13 @@ def active_segments() -> List[str]:
 
 __all__ = [
     "ChunkResult",
-    "DEFAULT_MIN_BYTES",
+    "MIN_SHM_BYTES",
     "SHM_NAME_PREFIX",
     "ShmChunk",
-    "TransportPolicy",
     "TransportStats",
     "active_segments",
     "decode_chunk",
     "encode_chunk",
     "ensure_resource_tracker",
     "release_chunk",
-    "shm_available",
 ]

@@ -137,10 +137,15 @@ class BacklogCosts:
     ``(channel, packet_bits, rss)`` — never on the technique set or on
     ``sic_enabled`` — so one precompute serves every scheduler sharing
     those (Fig. 13 evaluates three technique sets per snapshot against
-    the same backlog).  Built by :meth:`SicScheduler.precompute_costs`;
+    the same backlog); a scheduler with another channel or packet size
+    rejects it.  Built by :meth:`SicScheduler.precompute_costs`;
     ``eq=False`` because ndarray fields break dataclass equality.
     """
 
+    #: The channel the airtimes were computed on.
+    channel: Channel
+    #: The packet size (bits) the airtimes were computed for.
+    packet_bits: float
     #: Client names, in backlog order.
     names: Tuple[str, ...]
     #: RSS at the AP (watts), in backlog order.
@@ -203,6 +208,8 @@ class SicScheduler:
         rss = np.fromiter((c.rss_w for c in clients), dtype=float, count=n)
         solos = solo_airtime_batch(self.channel, self.packet_bits, rss)
         return BacklogCosts(
+            channel=self.channel,
+            packet_bits=self.packet_bits,
             names=tuple(c.name for c in clients),
             rss_w=rss,
             solo_airtime_s=solos,
@@ -212,9 +219,14 @@ class SicScheduler:
     def _check_precomputed(self, clients: Sequence[UploadClient],
                            precomputed: Optional[BacklogCosts],
                            ) -> Optional[BacklogCosts]:
-        if precomputed is not None and \
-                precomputed.names != tuple(c.name for c in clients):
+        if precomputed is None:
+            return None
+        if precomputed.names != tuple(c.name for c in clients):
             raise ValueError("precomputed costs do not match the backlog")
+        if precomputed.channel != self.channel or \
+                precomputed.packet_bits != self.packet_bits:
+            raise ValueError("precomputed costs were built for another "
+                             "channel or packet size")
         return precomputed
 
     def _reject_zero_rate(self, clients: Sequence[UploadClient],
@@ -230,6 +242,16 @@ class SicScheduler:
                 raise ValueError(
                     f"client {client.name!r} cannot be scheduled: its "
                     f"clean rate is zero (solo airtime {solo} s)")
+
+    def _lone_solo(self, clients: Sequence[UploadClient],
+                   pre: Optional[BacklogCosts]) -> float:
+        """A one-client backlog's solo airtime; a zero-rate client is
+        rejected by name, as in larger backlogs."""
+        solo = float(pre.solo_airtime_s[0]) if pre is not None \
+            else self.solo_cost(clients[0])
+        if not math.isfinite(solo):
+            self._reject_zero_rate(clients, np.array([clients[0].rss_w]))
+        return solo
 
     # ------------------------------------------------------------------
 
@@ -315,8 +337,7 @@ class SicScheduler:
         pre = self._check_precomputed(clients, precomputed)
         if len(clients) == 1:
             only = clients[0]
-            solo = float(pre.solo_airtime_s[0]) if pre is not None \
-                else self.solo_cost(only)
+            solo = self._lone_solo(clients, pre)
             return Schedule(
                 slots=(ScheduledSlot((only.name,), solo, PairMode.SERIAL),),
                 serial_time_s=solo,
@@ -361,6 +382,7 @@ class SicScheduler:
             raise ValueError(f"client names must be unique, got {names}")
         pre = self._check_precomputed(clients, precomputed)
         if len(clients) == 1:
+            self._lone_solo(clients, pre)
             return 1.0  # solo / solo
         if pre is not None and not math.isfinite(pre.serial_time_s):
             self._reject_zero_rate(clients, pre.rss_w)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import fig7
+from repro.util.timing import PhaseTimer
 from tests.conftest import run_pooled
 
 
@@ -43,6 +44,13 @@ class TestFig7Compute:
         assert fast["residential"] == scalar["residential"]
         assert fast["mesh"] == scalar["mesh"]
         assert fast["mesh_frontier"] == scalar["mesh_frontier"]
+
+    def test_timer_charges_one_phase_per_study(self):
+        timer = PhaseTimer()
+        fig7.compute(n_ewlan_grids=5, n_residential_rows=10, seed=4,
+                     timer=timer)
+        assert list(timer.phases) == ["ewlan", "residential", "mesh"]
+        assert [timer.count(phase) for phase in timer.phases] == [1, 1, 1]
 
     def test_supervised_knobs_do_not_change_results(self):
         from repro.util.cache import ResultCache

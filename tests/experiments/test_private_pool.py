@@ -24,12 +24,18 @@ from repro.experiments.runner import (
     ExecutionPolicy,
     run_chunked,
 )
-from repro.experiments.transport import TransportPolicy, active_segments
+from repro.experiments.transport import (
+    MIN_SHM_BYTES,
+    TransportStats,
+    active_segments,
+)
 from repro.util.faults import FaultInjector, always_failing
 from tests.conftest import run_pooled
 
-#: Every result rides shared memory, so a stranded segment would show.
-_SHM = TransportPolicy(min_bytes=1)
+#: Floats per draw: a chunk of 8 or more draws reaches MIN_SHM_BYTES, so
+#: every pooled result here rides shared memory and a stranded segment
+#: would show.
+_WIDTH = MIN_SHM_BYTES // 64
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ def _payload_chunk(config, seed, n, nap_s=0.05):
     from repro.util.rng import make_rng
 
     time.sleep(nap_s)
-    return {"x": make_rng(seed).random(n)}
+    return {"x": make_rng(seed).random((n, _WIDTH))}
 
 
 def _marking_chunk(config, seed, n, marker_dir):
@@ -96,14 +102,16 @@ def test_interrupt_stops_a_private_pooled_run(tmp_path):
 class TestCleanup:
     def test_successful_run(self):
         before = _snapshot()
-        out = _run(ExecutionPolicy(transport=_SHM))
+        stats = TransportStats()
+        out = _run(ExecutionPolicy(transport_stats=stats))
         assert np.array_equal(out["x"], _serial()["x"])
+        assert stats.as_dict()["shm_chunks"] == 8
         _assert_nothing_left(before)
 
     def test_degraded_run(self):
         before = _snapshot()
         policy = ExecutionPolicy(
-            transport=_SHM, max_pool_rebuilds=1,
+            max_pool_rebuilds=1,
             faults=FaultInjector(pool_break_rounds={0, 1, 2}))
         with pytest.warns(ExecutionDegradedWarning):
             out = _run(policy)
@@ -112,8 +120,7 @@ class TestCleanup:
 
     def test_exhausted_retries(self):
         before = _snapshot()
-        policy = ExecutionPolicy(transport=_SHM,
-                                 faults=always_failing("private", 3))
+        policy = ExecutionPolicy(faults=always_failing("private", 3))
         with pytest.raises(ChunkExecutionError):
             _run(policy)
         _assert_nothing_left(before)

@@ -21,7 +21,11 @@ import pytest
 from repro.experiments import fig6, fig11, fig12, fig13
 from repro.experiments.runner import ExecutionPolicy, SuitePool, run_chunked
 from repro.experiments.suite import run_suite
-from repro.experiments.transport import TransportPolicy, active_segments
+from repro.experiments.transport import (
+    MIN_SHM_BYTES,
+    TransportStats,
+    active_segments,
+)
 
 
 def _square(x):
@@ -305,29 +309,34 @@ class TestRunSuiteGolden:
             == ["fig2", "fig10"]
 
     def test_transport_exercised_and_no_leaked_segments(self):
+        # 3 ranges x 2 chunks of 8,000 draws: 80,000 B each.
         before = active_segments()
-        kwargs = {"fig6": {"n_samples": 400, "seed": 2,
-                           "chunk_size": 100}}
-        suite = run_suite(
-            ["fig6"], kwargs, n_workers=2,
-            policy=ExecutionPolicy(transport=TransportPolicy(min_bytes=1)))
-        total = suite.transport["shm_chunks"] \
-            + suite.transport["pickled_chunks"]
-        assert suite.transport["shm_chunks"] > 0
-        assert total >= suite.transport["shm_chunks"]
+        kwargs = {"fig6": {"n_samples": 16000, "seed": 2,
+                           "chunk_size": 8000}}
+        suite = run_suite(["fig6"], kwargs, n_workers=2)
+        assert suite.transport["shm_chunks"] == 6
+        assert suite.transport["shm_bytes"] == 6 * 80_000
+        assert suite.transport["pickled_chunks"] == 0
         assert active_segments() == before
         direct = fig6.compute(**kwargs["fig6"])
         _assert_gain_maps_equal(suite.runs()["fig6"].result, direct)
 
-    def test_caller_policy_transport_is_honoured(self):
-        # 3 ranges x 4 chunks, each result well under the default 64 KiB.
-        kwargs = {"fig6": {"n_samples": 4000, "chunk_size": 1000,
-                           "seed": 1}}
-        suite = run_suite(
-            ["fig6"], kwargs, n_workers=2,
-            policy=ExecutionPolicy(transport=TransportPolicy(min_bytes=1)))
-        assert suite.transport["shm_chunks"] == 12
-        assert suite.transport["pickled_chunks"] == 0
+    def test_callers_own_pool_transports(self):
+        # fig6 ships 10 B per draw.  Per range, one chunk just reaches
+        # MIN_SHM_BYTES and rides shared memory; the 100-draw remainder
+        # is pickled.
+        draws = -(-MIN_SHM_BYTES // 10)
+        kwargs = {"n_samples": draws + 100, "chunk_size": draws, "seed": 1}
+        before = active_segments()
+        stats = TransportStats()
+        with SuitePool(2) as pool:
+            pooled = fig6.compute(**kwargs, policy=ExecutionPolicy(
+                pool=pool, transport_stats=stats))
+        assert stats.as_dict() == {
+            "shm_chunks": 3, "shm_bytes": 3 * 10 * draws,
+            "pickled_chunks": 3, "pickled_bytes": 3 * 10 * 100}
+        assert active_segments() == before
+        _assert_gain_maps_equal(pooled, fig6.compute(**kwargs))
 
     def test_summary_lines_cover_pool_and_transport(self):
         suite = run_suite(["fig2"], {"fig2": {"n_points": 5}}, n_workers=1)

@@ -58,13 +58,13 @@ class TestScheduleBasics:
             scheduler.schedule(clients)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n_live", [2, 3, 6, 7])
+    @pytest.mark.parametrize("n_live", [0, 2, 3, 6, 7])
     def test_zero_rate_client_rejected(self, n_live, monkeypatch):
         # The last client's clean Shannon rate rounds to 0, so its
         # airtime is infinite.  Both entry points must refuse the
         # backlog before any matching, naming the client rather than
-        # a vertex pair, at odd and even backlog sizes, and costing
-        # its pairs must not warn.
+        # a vertex pair, at odd and even backlog sizes (the client
+        # alone included), and costing its pairs must not warn.
         def no_matching(*args, **kwargs):
             raise AssertionError("the matching ran")
 
@@ -326,6 +326,16 @@ class TestPrecomputedCosts:
             scheduler.schedule(clients, precomputed=pre)
         with pytest.raises(ValueError, match="precomputed"):
             scheduler.schedule_gain(clients, precomputed=pre)
+        # Same backlog, but solo airtimes of another channel or packet
+        # size: a 24,000-bit scheduler would report half its serial time.
+        for built_by in (SicScheduler(channel=channel, packet_bits=24000.0),
+                         SicScheduler(channel=Channel(bandwidth_hz=40e6))):
+            for backlog in (clients, clients[:1]):
+                pre = built_by.precompute_costs(backlog)
+                for call in (scheduler.schedule, scheduler.schedule_gain):
+                    with pytest.raises(ValueError,
+                                       match="another channel or packet"):
+                        call(backlog, precomputed=pre)
 
     def test_duplicate_names_rejected_by_gain_path(self, scheduler):
         clients = [UploadClient("X", 1e-9), UploadClient("X", 1e-10)]
