@@ -10,6 +10,11 @@ Exit codes follow the operator taxonomy of :mod:`repro.util.errors`:
 ``0`` ok, ``1`` fatal, ``2`` usage, ``3`` transient, ``4``
 corrupt-state, ``5`` resumable (interrupted with checkpoints flushed —
 rerun the same command to resume).
+
+What each figure is passed (its ``--quick`` kwargs, what ``--samples``
+sets, whether it takes ``--seed``, ``--chunk-size`` and a pool) is read
+from its :data:`repro.experiments.registry.REGISTRY` entry.  ``claims``
+has no entry: it takes ``--samples`` but no ``--chunk-size`` or pool.
 """
 
 from __future__ import annotations
@@ -28,24 +33,9 @@ from repro.experiments.registry import (
     ordered_figures,
     run_experiment,
 )
-from repro.experiments.suite import _accepts, run_suite
+from repro.experiments.suite import run_suite
 from repro.util.cache import atomic_write_text
 from repro.util.errors import run_cli
-
-#: Reduced parameters for --quick runs (CI-sized, same code paths).
-QUICK_KWARGS = {
-    "fig2": {"n_points": 21},
-    "fig3": {"n_points": 21},
-    "fig4": {"n_points": 31},
-    "fig6": {"n_samples": 500},
-    "fig7": {"n_ewlan_grids": 20, "n_residential_rows": 60},
-    "fig8": {"n_points": 21},
-    "fig10": {},
-    "fig11": {"n_samples": 500},
-    "fig12": {"sizes": (3, 5, 8), "n_trials": 5},
-    "fig13": {"max_snapshots": 40},
-    "fig14": {"n_scenarios": 300},
-}
 
 
 def positive_int(text: str) -> int:
@@ -93,32 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Figures whose compute() threads the supervised-execution knobs.
-_SUPERVISED_FIGURES = ("fig6", "fig7", "fig11", "fig13", "fig14")
-
-#: Runs whose scale responds to --samples (the Monte-Carlo /
-#: trace-driven figures and the claims); the rest are closed-form or
-#: fixed-size.
-_SAMPLES_FIGURES = frozenset(_SUPERVISED_FIGURES + ("claims",))
-
-
 def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
-    kwargs = dict(QUICK_KWARGS.get(figure, {})) if args.quick else {}
-    if args.samples is not None:
-        if figure in ("fig6", "fig11"):
-            kwargs["n_samples"] = args.samples
-        elif figure == "fig14":
-            kwargs["n_scenarios"] = args.samples
-        elif figure == "fig7":
-            # One EWLAN grid is the unit; residential rows are cheaper,
-            # so keep the quick-mode 1:3 ratio.
-            kwargs["n_ewlan_grids"] = args.samples
-            kwargs["n_residential_rows"] = 3 * args.samples
-        elif figure == "fig13":
-            kwargs["max_snapshots"] = args.samples
-    if _accepts(figure, "seed"):
+    experiment = REGISTRY[figure]
+    kwargs = dict(experiment.quick) if args.quick else {}
+    if experiment.samples is not None and args.samples is not None:
+        kwargs.update(experiment.samples(args.samples))
+    if experiment.pooled:
         kwargs.setdefault("seed", args.seed)
-    if figure in _SUPERVISED_FIGURES and args.chunk_size is not None:
+    if experiment.samples is not None and args.chunk_size is not None:
         kwargs["chunk_size"] = args.chunk_size
     return kwargs
 
@@ -128,15 +100,17 @@ def _note_inapplicable(args: argparse.Namespace, figures: List[str],
     """One stderr note per flag the run ignores, instead of silence.
 
     ``pooled`` says whether any of ``figures`` can put work on a pool.
+    A figure without ``samples`` in its entry ignores ``--samples`` and
+    ``--chunk-size``; ``claims`` takes ``--samples`` but not
+    ``--chunk-size``.
     """
+    unchunked = [figure for figure in figures
+                 if figure == "claims" or REGISTRY[figure].samples is None]
     notes = [
         ("--samples", args.samples,
-         [figure for figure in figures if figure not in _SAMPLES_FIGURES],
+         [figure for figure in unchunked if figure != "claims"],
          "closed-form or fixed-size figures"),
-        ("--chunk-size", args.chunk_size,
-         [figure for figure in figures
-          if figure not in _SUPERVISED_FIGURES],
-         "no supervised chunks"),
+        ("--chunk-size", args.chunk_size, unchunked, "no supervised chunks"),
         ("--workers", args.workers, [] if pooled else figures,
          "nothing in this run uses a worker pool"),
     ]
@@ -170,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if figure not in REGISTRY:
             print(f"unknown figure {figure!r}; try 'list'", file=sys.stderr)
             return 2
-    pooled = any(_accepts(figure, "policy") for figure in figures)
+    pooled = any(REGISTRY[figure].pooled for figure in figures)
     _note_inapplicable(args, figures, pooled)
 
     summary: Optional[List[str]] = None

@@ -1,15 +1,17 @@
 """Experiment registry: one entry per paper figure, with printers.
 
-Maps figure identifiers to (description, compute function, printer) so
-the CLI and the benchmark harness share a single source of truth about
-what regenerates each figure.
+Maps figure identifiers to (description, compute function, printer) and
+to what each figure is passed: its ``--quick`` kwargs, what
+``--samples N`` sets, and whether ``compute`` takes ``seed`` and
+``policy``.  The CLI, the suite engine and the benchmark harness share
+this single source of truth about what regenerates each figure;
+``REGISTRY`` is declared in paper order.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.experiments import (
     fig2,
@@ -30,12 +32,22 @@ from repro.util.containers import GridResult, SweepResult, ascii_heatmap
 
 @dataclass(frozen=True)
 class Experiment:
-    """One reproducible paper figure."""
+    """One reproducible paper figure.
+
+    ``quick`` holds the ``--quick`` kwargs (CI-sized, same code paths).
+    ``samples`` maps ``--samples N`` to kwargs; a figure with one also
+    takes ``chunk_size``, and a closed-form or fixed-size figure has
+    none.  ``pooled`` says that ``compute`` takes ``seed`` and
+    ``policy``, so it can put work on a pool.
+    """
 
     figure: str
     description: str
     compute: Callable[..., object]
     render: Callable[[object], List[str]]
+    quick: Mapping[str, object] = field(default_factory=dict)
+    samples: Optional[Callable[[int], Dict[str, int]]] = None
+    pooled: bool = False
 
 
 def _render_sweep(result: SweepResult) -> List[str]:
@@ -94,37 +106,47 @@ def _render_fig12(result) -> List[str]:
 REGISTRY: Dict[str, Experiment] = {
     "fig2": Experiment(
         "fig2", "Aggregate two-transmitter capacity with SIC",
-        fig2.compute, _render_sweep),
+        fig2.compute, _render_sweep, quick={"n_points": 21}),
     "fig3": Experiment(
         "fig3", "Relative capacity gain heatmap (C+SIC / C-SIC)",
-        fig3.compute, _render_grid),
+        fig3.compute, _render_grid, quick={"n_points": 21}),
     "fig4": Experiment(
         "fig4", "Same-receiver completion-time gain heatmap",
-        fig4.compute, _render_grid),
+        fig4.compute, _render_grid, quick={"n_points": 31}),
     "fig6": Experiment(
         "fig6", "Monte-Carlo CDF: two pairs, different receivers",
-        fig6.compute, _render_gain_map),
+        fig6.compute, _render_gain_map, quick={"n_samples": 500},
+        samples=lambda n: {"n_samples": n}, pooled=True),
     "fig7": Experiment(
         "fig7", "Architectures: EWLAN / residential / mesh (Section 4)",
-        fig7.compute, fig7.render),
+        fig7.compute, fig7.render,
+        quick={"n_ewlan_grids": 20, "n_residential_rows": 60},
+        # One EWLAN grid is the unit; residential rows are cheaper, so
+        # keep the quick-mode 1:3 ratio.
+        samples=lambda n: {"n_ewlan_grids": n, "n_residential_rows": 3 * n},
+        pooled=True),
     "fig8": Experiment(
         "fig8", "Download two APs -> one client gain heatmap",
-        fig8.compute, _render_grid),
+        fig8.compute, _render_grid, quick={"n_points": 21}),
     "fig10": Experiment(
         "fig10", "Worked 4-client pairing example",
         fig10.compute, _render_fig10),
     "fig11": Experiment(
         "fig11", "Technique CDFs (power control, multirate, packing)",
-        fig11.compute, _render_fig11),
+        fig11.compute, _render_fig11, quick={"n_samples": 500},
+        samples=lambda n: {"n_samples": n}, pooled=True),
     "fig12": Experiment(
         "fig12", "Scheduler vs baselines",
-        fig12.compute, _render_fig12),
+        fig12.compute, _render_fig12,
+        quick={"sizes": (3, 5, 8), "n_trials": 5}, pooled=True),
     "fig13": Experiment(
         "fig13", "Trace-based upload pairing evaluation",
-        fig13.compute, _render_gain_map),
+        fig13.compute, _render_gain_map, quick={"max_snapshots": 40},
+        samples=lambda n: {"max_snapshots": n}, pooled=True),
     "fig14": Experiment(
         "fig14", "Trace-based two AP-client pairs (arbitrary/discrete)",
-        fig14.compute, _render_gain_map),
+        fig14.compute, _render_gain_map, quick={"n_scenarios": 300},
+        samples=lambda n: {"n_scenarios": n}, pooled=True),
 }
 
 
@@ -168,22 +190,9 @@ def jsonify(value):
     return repr(value)
 
 
-def figure_sort_key(figure: str) -> Tuple[int, str]:
-    """Paper-order sort key: ``fig2`` before ``fig10``, not after.
-
-    Plain ``sorted(REGISTRY)`` is lexicographic (fig10, fig11, …, fig2)
-    — every ``all``/``list`` consumer sorts through this key instead.
-    Unparsable identifiers sort last, alphabetically.
-    """
-    match = re.match(r"fig(\d+)$", figure)
-    if match is None:
-        return (10**9, figure)
-    return (int(match.group(1)), figure)
-
-
 def ordered_figures() -> List[str]:
     """All registered figure identifiers in paper order."""
-    return sorted(REGISTRY, key=figure_sort_key)
+    return list(REGISTRY)
 
 
 @dataclass(frozen=True)

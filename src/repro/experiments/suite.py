@@ -5,9 +5,10 @@ one after another, each supervised ``compute()`` draining its own
 worker pool while every other figure's work sat idle.  This module
 runs them concurrently over **one shared pool**:
 
-* :func:`run_suite` runs one thread per requested figure, each calling
-  the ordinary :func:`repro.experiments.registry.run_experiment`; the
-  supervised figures pick the shared
+* :func:`run_suite` runs one thread per requested figure, in registry
+  (paper) order, each calling the ordinary
+  :func:`repro.experiments.registry.run_experiment`; a figure whose
+  registry entry is ``pooled`` picks the shared
   :class:`repro.experiments.runner.SuitePool` up through
   :attr:`repro.experiments.runner.ExecutionPolicy.pool`, so every
   supervisor invariant (retries, watchdog, pool-rebuild escalation,
@@ -49,7 +50,6 @@ shared-memory results are released on every path (see
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, replace
 from threading import Thread
@@ -58,8 +58,6 @@ from typing import Dict, List, Mapping, Optional
 from repro.experiments.registry import (
     REGISTRY,
     ExperimentRun,
-    figure_sort_key,
-    ordered_figures,
     run_experiment,
 )
 from repro.experiments.runner import ExecutionPolicy, SuitePool
@@ -74,10 +72,6 @@ class FigureOutcome:
     run: Optional[ExperimentRun]
     wall_s: float
     error: Optional[BaseException] = None
-
-    @property
-    def lines(self) -> List[str]:
-        return self.run.lines if self.run is not None else []
 
 
 @dataclass
@@ -127,18 +121,6 @@ class SuiteResult:
         return lines
 
 
-def _accepts(figure: str, name: str) -> bool:
-    """Whether a figure's compute() takes a keyword argument ``name``."""
-    try:
-        signature = inspect.signature(REGISTRY[figure].compute)
-    except (TypeError, ValueError):
-        return False
-    parameter = signature.parameters.get(name)
-    return parameter is not None and parameter.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY)
-
-
 def run_suite(figures: Optional[List[str]] = None,
               kwargs_by_figure: Optional[Mapping[str, Mapping[str, object]]]
               = None, *,
@@ -147,11 +129,12 @@ def run_suite(figures: Optional[List[str]] = None,
               pool: Optional[SuitePool] = None) -> SuiteResult:
     """Run a set of figures concurrently over one shared pool.
 
-    Each figure runs on its own thread through the registry's single
-    dispatch point with exactly the caller's kwargs — chunk layouts and
-    seeds are untouched, so per-figure results are bit-identical to
-    calling ``compute()`` directly with the same kwargs.  Supervised
-    figures additionally receive ``policy`` (default
+    Each requested figure runs once, on its own thread, through the
+    registry's single dispatch point with exactly the caller's kwargs —
+    chunk layouts and seeds are untouched, so per-figure results are
+    bit-identical to calling ``compute()`` directly with the same
+    kwargs.  Outcomes come back in registry (paper) order.  A figure
+    whose registry entry is ``pooled`` also receives ``policy`` (default
     :meth:`ExecutionPolicy.from_env`) carrying the shared pool and the
     suite's transport counters (unless the caller already pinned a
     ``policy`` kwarg for that figure).
@@ -161,11 +144,11 @@ def run_suite(figures: Optional[List[str]] = None,
     A ``pool`` passed in is borrowed (left open); otherwise one is
     created and closed here.
     """
-    requested = list(figures) if figures is not None else ordered_figures()
+    requested = list(REGISTRY if figures is None else figures)
     unknown = [figure for figure in requested if figure not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown figures: {', '.join(unknown)}")
-    requested.sort(key=figure_sort_key)
+    requested = [figure for figure in REGISTRY if figure in requested]
     kwargs_by_figure = kwargs_by_figure or {}
 
     own_pool = pool is None
@@ -181,7 +164,7 @@ def run_suite(figures: Optional[List[str]] = None,
     def _figure_body(figure: str) -> None:
         outcome = outcomes[figure]
         kwargs = dict(kwargs_by_figure.get(figure, {}))
-        if _accepts(figure, "policy"):
+        if REGISTRY[figure].pooled:
             kwargs.setdefault("policy", suite_policy)
         start = time.perf_counter()
         try:

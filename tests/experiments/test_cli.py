@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.__main__ import _kwargs_for, build_parser, main
 from repro.experiments.registry import (
     REGISTRY,
-    figure_sort_key,
     ordered_figures,
     run_experiment,
 )
@@ -35,10 +34,6 @@ class TestRegistry:
         assert ordered_figures() == [
             "fig2", "fig3", "fig4", "fig6", "fig7", "fig8",
             "fig10", "fig11", "fig12", "fig13", "fig14"]
-
-    def test_sort_key_handles_unknown_ids(self):
-        assert figure_sort_key("fig2") < figure_sort_key("fig10")
-        assert figure_sort_key("fig10") < figure_sort_key("weird")
 
 
 @pytest.fixture
@@ -91,15 +86,21 @@ class TestMain:
         assert fig7_kwargs["n_residential_rows"] == 21
         assert _kwargs_for("fig13", args)["max_snapshots"] == 7
 
-    @pytest.mark.parametrize("figure", ordered_figures())
+    @pytest.mark.parametrize("figure", list(REGISTRY))
     def test_seed_reaches_every_seeded_figure(self, figure):
         args = build_parser().parse_args(
             ["all", "--seed", "7", "--chunk-size", "10"])
         kwargs = _kwargs_for(figure, args)
-        takes = inspect.signature(REGISTRY[figure].compute).parameters
+        experiment = REGISTRY[figure]
+        takes = inspect.signature(experiment.compute).parameters
         assert kwargs.get("seed") == (7 if "seed" in takes else None)
         # --chunk-size still reaches only the supervised figures.
         assert ("chunk_size" in kwargs) == ("chunk_size" in takes)
+        # The entry's declarations match what compute() takes.
+        assert experiment.pooled == ("seed" in takes and "policy" in takes)
+        assert (experiment.samples is not None) == ("chunk_size" in takes)
+        scaled = experiment.samples(7) if experiment.samples else {}
+        assert set(experiment.quick) | set(scaled) <= set(takes)
 
     def test_fig12_runs_at_the_given_seed(self, capsys):
         assert main(["fig12", "--quick", "--seed", "7"]) == 0

@@ -12,13 +12,14 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments import fig6, fig11, fig12, fig13
+from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import ExecutionPolicy, SuitePool, run_chunked
 from repro.experiments.suite import run_suite
 from repro.experiments.transport import (
@@ -307,6 +308,23 @@ class TestRunSuiteGolden:
                           n_workers=1)
         assert [outcome.figure for outcome in suite.outcomes] \
             == ["fig2", "fig10"]
+
+    def test_a_figure_requested_twice_runs_once(self, monkeypatch):
+        calls = []
+        fig2 = REGISTRY["fig2"]
+
+        def counting_compute(**kwargs):
+            calls.append(kwargs)
+            return fig2.compute(**kwargs)
+
+        monkeypatch.setitem(REGISTRY, "fig2",
+                            replace(fig2, compute=counting_compute))
+        with SuitePool(1) as pool:
+            suite = run_suite(["fig2", "fig2"], {"fig2": {"n_points": 5}},
+                              pool=pool)
+        assert calls == [{"n_points": 5}]
+        assert [outcome.figure for outcome in suite.outcomes] == ["fig2"]
+        assert suite.summary_lines()[0].startswith("== suite: 1 figures")
 
     def test_transport_exercised_and_no_leaked_segments(self):
         # 3 ranges x 2 chunks of 8,000 draws: 80,000 B each.
