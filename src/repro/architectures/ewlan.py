@@ -14,13 +14,15 @@ into the capture case (each receiver's own signal strongest), where SIC
 is simply not needed.  This module quantifies that argument on random
 EWLAN grids.
 
-Fast path (``docs/architecture_performance.md``): the driver replays
-the scalar sampling stream draw for draw (client placements, pair
-index draws, shadowing normals), then the pre-sampled pairs fan out
-across the supervised indexed runner — retries, checkpoint/resume and
-the result cache included — and the Fig. 5 classification runs as one
-array pass per chunk.  :func:`evaluate_ewlan_cross_pairs_scalar`
-freezes the historical per-pair loop as the golden reference.
+Fast path (``docs/architecture_performance.md``): this module's
+sampler replays the scalar sampling stream draw for draw (client
+placements, pair index draws, shadowing normals), and
+:func:`repro.architectures.pairsweep.run_pair_sweep` does the rest —
+the shadowing guard, the supervised indexed run with its retries,
+checkpoint/resume and result cache, one Fig. 5 array pass per chunk
+and the case mix.  The engine adds its own field, ``mean_gain``.
+:func:`evaluate_ewlan_cross_pairs_scalar` freezes the historical
+per-pair loop as the golden reference.
 """
 
 from __future__ import annotations
@@ -28,23 +30,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.architectures.pairsweep import (
-    PAIR_CHUNK,
-    PairDistanceBatch,
-    pair_scenario_chunk,
-    pair_sweep_cache_key,
-    sequential_sum,
-    sorted_case_fractions,
-)
-from repro.experiments.runner import (
-    ExecutionPolicy,
-    run_indexed,
-    seed_cache_token,
-)
+from repro.architectures.pairsweep import run_pair_sweep, sequential_sum
+from repro.experiments.runner import ExecutionPolicy
 from repro.phy.pathloss import LogDistancePathLoss, PropagationModel
 from repro.phy.shannon import Channel
 from repro.sic.scenarios import (
@@ -169,8 +161,8 @@ def evaluate_ewlan_cross_pairs_scalar(
 def _sample_cross_pair_distances(
         n_grids: int, ap_rows: int, ap_cols: int, ap_spacing_m: float,
         clients_per_ap: int, rng, shadowing_sigma_db: float,
-        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Replay the scalar sampling stream; return link geometry arrays.
+        ) -> Tuple[List[Tuple[float, ...]], List[np.ndarray]]:
+    """Replay the scalar sampling stream; return per-pair link rows.
 
     Consumes ``rng`` exactly as ``ewlan_grid`` plus the scalar pair
     loop do — per grid two block uniform draws for the client
@@ -192,7 +184,7 @@ def _sample_cross_pair_distances(
     height = max(ap_rows - 1, 1) * ap_spacing_m
     n_clients = clients_per_ap * n_aps
 
-    distance_rows: List[Tuple[float, float, float, float]] = []
+    distance_rows: List[Tuple[float, ...]] = []
     shadow_rows: List[np.ndarray] = []
     for _ in range(n_grids):
         # The same two block draws random_points_in_rect makes; the
@@ -218,11 +210,7 @@ def _sample_cross_pair_distances(
             if shadowing_sigma_db > 0.0:
                 shadow_rows.append(
                     rng.normal(0.0, shadowing_sigma_db, size=4))
-
-    distances = np.array(distance_rows, dtype=float).reshape(-1, 4)
-    shadow = np.array(shadow_rows, dtype=float).reshape(-1, 4) \
-        if shadowing_sigma_db > 0.0 else None
-    return distances, shadow
+    return distance_rows, shadow_rows
 
 
 def evaluate_ewlan_cross_pairs(n_grids: int = 100,
@@ -255,51 +243,23 @@ def evaluate_ewlan_cross_pairs(n_grids: int = 100,
     if n_grids < 1:
         raise ValueError("need at least one grid")
     check_positive("packet_bits", packet_bits)
-    channel = channel or Channel()
-    propagation = propagation or LogDistancePathLoss(exponent=3.5)
-    sigma_db = getattr(propagation, "shadowing_sigma_db", 0.0)
-    if sigma_db > 0.0 and not isinstance(propagation, LogDistancePathLoss):
-        # Only the log-distance model's fading recipe is replayed in
-        # the chunk function.
-        raise ValueError(
-            f"shadowed {type(propagation).__name__} is not supported; "
-            "only LogDistancePathLoss shadowing is replayed")
-    token = seed_cache_token(seed)
-    rng = make_rng(seed)
-
-    distances, shadow_db = _sample_cross_pair_distances(
-        n_grids, ap_rows, ap_cols, ap_spacing_m, clients_per_ap,
-        rng, sigma_db)
-    if distances.shape[0] == 0:
-        raise RuntimeError("no cross-AP pairs sampled; grid too sparse")
-
-    batch = PairDistanceBatch(
-        distances_m=distances, shadow_db=shadow_db,
-        tx_power_w=DEFAULT_TX_POWER_W, packet_bits=packet_bits,
-        channel=channel, propagation=propagation)
-    cache_key = pair_sweep_cache_key(
+    sweep = run_pair_sweep(
         "ewlan",
         {"n_grids": n_grids, "ap_rows": ap_rows, "ap_cols": ap_cols,
-         "ap_spacing_m": ap_spacing_m,
-         "clients_per_ap": clients_per_ap,
+         "ap_spacing_m": ap_spacing_m, "clients_per_ap": clients_per_ap,
          "packet_bits": packet_bits},
-        channel, propagation, token)
-    merged = run_indexed(
-        "ewlan", pair_scenario_chunk, batch, distances.shape[0],
-        code_version=1, cache_key=cache_key,
-        chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
-        cache=cache, policy=policy)
-
-    n_pairs = int(merged["gains"].shape[0])
-    report = EwlanCrossPairReport(
-        n_pairs=n_pairs,
-        case_fractions=sorted_case_fractions(merged["case_codes"],
-                                             n_pairs),
-        sic_feasible_fraction=(
-            int(np.count_nonzero(merged["sic_feasible"])) / n_pairs),
-        mean_gain=sequential_sum(merged["gains"]) / n_pairs,
+        partial(_sample_cross_pair_distances, n_grids, ap_rows, ap_cols,
+                ap_spacing_m, clients_per_ap),
+        "no cross-AP pairs sampled; grid too sparse",
+        channel or Channel(),
+        propagation or LogDistancePathLoss(exponent=3.5), seed,
+        chunk_size=chunk_size, cache=cache, policy=policy)
+    return EwlanCrossPairReport(
+        n_pairs=sweep.n_pairs,
+        case_fractions=sweep.case_fractions,
+        sic_feasible_fraction=sweep.sic_feasible_fraction,
+        mean_gain=sequential_sum(sweep.gains) / sweep.n_pairs,
     )
-    return report
 
 
 def nearest_ap_capture_fraction(report: EwlanCrossPairReport) -> float:

@@ -14,11 +14,14 @@ paper's own bottom line — opportunities exist but two-receiver gains
 stay negligible under ideal rate adaptation — is exactly what the
 numbers show.
 
-Fast path (``docs/architecture_performance.md``): the driver replays
-the scalar sampling stream draw for draw — block uniforms for each
-row's AP / client placements, per-pair index draws and shadowing
-normals — then fans the pre-sampled pairs out through the supervised
-indexed runner and classifies each chunk in one array pass.
+Fast path (``docs/architecture_performance.md``): this module's
+sampler replays the scalar sampling stream draw for draw — block
+uniforms for each row's AP / client placements, per-pair index draws
+and shadowing normals — and
+:func:`repro.architectures.pairsweep.run_pair_sweep` fans the
+pre-sampled pairs out through the supervised indexed runner,
+classifies each chunk in one array pass and returns the case mix.  The
+engine adds its own field, ``gain_summary``.
 :func:`evaluate_residential_rows_scalar` freezes the historical
 per-pair loop as the golden reference.
 """
@@ -28,22 +31,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.architectures.pairsweep import (
-    PAIR_CHUNK,
-    PairDistanceBatch,
-    pair_scenario_chunk,
-    pair_sweep_cache_key,
-    sorted_case_fractions,
-)
-from repro.experiments.runner import (
-    ExecutionPolicy,
-    run_indexed,
-    seed_cache_token,
-)
+from repro.architectures.pairsweep import run_pair_sweep
+from repro.experiments.runner import ExecutionPolicy
 from repro.phy.pathloss import LogDistancePathLoss, PropagationModel
 from repro.phy.shannon import Channel
 from repro.sic.scenarios import (
@@ -166,8 +160,8 @@ def evaluate_residential_rows_scalar(
 def _sample_cross_home_distances(
         n_rows: int, n_homes: int, home_width_m: float,
         clients_per_home: int, rng, shadowing_sigma_db: float,
-        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Replay the scalar sampling stream; return link geometry arrays.
+        ) -> Tuple[List[Tuple[float, ...]], List[np.ndarray]]:
+    """Replay the scalar sampling stream; return per-pair link rows.
 
     Consumes ``rng`` exactly as ``residential_row`` plus the scalar
     pair generator do.  The row's 2 + 2·clients scalar ``uniform``
@@ -185,7 +179,7 @@ def _sample_cross_home_distances(
     check_positive("home_width_m", home_width_m)
     per_home = 2 + 2 * clients_per_home
 
-    distance_rows: List[Tuple[float, float, float, float]] = []
+    distance_rows: List[Tuple[float, ...]] = []
     shadow_rows: List[np.ndarray] = []
     for _ in range(n_rows):
         # One block of raw doubles per row == the row's sequential
@@ -225,11 +219,7 @@ def _sample_cross_home_distances(
             if shadowing_sigma_db > 0.0:
                 shadow_rows.append(
                     rng.normal(0.0, shadowing_sigma_db, size=4))
-
-    distances = np.array(distance_rows, dtype=float).reshape(-1, 4)
-    shadow = np.array(shadow_rows, dtype=float).reshape(-1, 4) \
-        if shadowing_sigma_db > 0.0 else None
-    return distances, shadow
+    return distance_rows, shadow_rows
 
 
 def evaluate_residential_rows(n_rows: int = 400,
@@ -256,51 +246,24 @@ def evaluate_residential_rows(n_rows: int = 400,
     if n_rows < 1:
         raise ValueError("need at least one row")
     check_positive("packet_bits", packet_bits)
-    channel = channel or Channel()
-    # Indoor shadowing creates the RSS inversions (own AP weaker than
-    # the neighbour's) that the paper's §4.2 scenario relies on.
-    propagation = propagation or LogDistancePathLoss(
-        exponent=3.5, shadowing_sigma_db=6.0)
-    sigma_db = getattr(propagation, "shadowing_sigma_db", 0.0)
-    if sigma_db > 0.0 and not isinstance(propagation, LogDistancePathLoss):
-        # Only the log-distance fading recipe is replayed in the chunk
-        # function.
-        raise ValueError(
-            f"shadowed {type(propagation).__name__} is not supported; "
-            "only LogDistancePathLoss shadowing is replayed")
-    token = seed_cache_token(seed)
-    rng = make_rng(seed)
-
-    distances, shadow_db = _sample_cross_home_distances(
-        n_rows, n_homes, home_width_m, clients_per_home, rng,
-        sigma_db)
-    if distances.shape[0] == 0:
-        raise RuntimeError("no cross-home pairs sampled")
-
-    batch = PairDistanceBatch(
-        distances_m=distances, shadow_db=shadow_db,
-        tx_power_w=DEFAULT_TX_POWER_W, packet_bits=packet_bits,
-        channel=channel, propagation=propagation)
-    cache_key = pair_sweep_cache_key(
+    sweep = run_pair_sweep(
         "residential",
         {"n_rows": n_rows, "n_homes": n_homes,
          "home_width_m": home_width_m,
          "clients_per_home": clients_per_home,
          "packet_bits": packet_bits},
-        channel, propagation, token)
-    merged = run_indexed(
-        "residential", pair_scenario_chunk, batch,
-        distances.shape[0], code_version=1, cache_key=cache_key,
-        chunk_size=chunk_size if chunk_size is not None else PAIR_CHUNK,
-        cache=cache, policy=policy)
-
-    n_pairs = int(merged["gains"].shape[0])
-    report = ResidentialReport(
-        n_pairs=n_pairs,
-        case_fractions=sorted_case_fractions(merged["case_codes"],
-                                             n_pairs),
-        sic_feasible_fraction=(
-            int(np.count_nonzero(merged["sic_feasible"])) / n_pairs),
-        gain_summary=gain_cdf_summary(merged["gains"]),
+        partial(_sample_cross_home_distances, n_rows, n_homes,
+                home_width_m, clients_per_home),
+        "no cross-home pairs sampled",
+        channel or Channel(),
+        # Indoor shadowing creates the RSS inversions (own AP weaker
+        # than the neighbour's) that the paper's §4.2 scenario relies on.
+        propagation or LogDistancePathLoss(exponent=3.5,
+                                           shadowing_sigma_db=6.0),
+        seed, chunk_size=chunk_size, cache=cache, policy=policy)
+    return ResidentialReport(
+        n_pairs=sweep.n_pairs,
+        case_fractions=sweep.case_fractions,
+        sic_feasible_fraction=sweep.sic_feasible_fraction,
+        gain_summary=gain_cdf_summary(sweep.gains),
     )
-    return report

@@ -1,20 +1,20 @@
 """Fig. 3 — heatmap of the relative capacity gain with SIC.
 
-``C_{+SIC} / C_{-SIC}`` over a grid of the two received SNRs.  The
-paper's observations to reproduce: the gain is always >= 1, it is "not
-high in general", and it is largest when the RSSs are *smaller and
-similar* (the bright region hugs the diagonal near the origin).
+``C_{+SIC} / C_{-SIC}`` over a grid of the two received SNRs, built by
+:func:`repro.util.containers.snr_grid`.  The paper's observations to
+reproduce: the gain is always >= 1, it is "not high in general", and
+it is largest when the RSSs are *smaller and similar* (the bright
+region hugs the diagonal near the origin).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from repro.phy.noise import thermal_noise_watts
 from repro.phy.shannon import Channel
 from repro.sic.capacity import capacity_gain
-from repro.util.containers import GridResult
-from repro.util.units import db_to_linear
+from repro.util.containers import GridResult, snr_grid
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 
@@ -26,18 +26,7 @@ def compute(snr_db_min: float = 0.5,
     """Capacity-gain grid over (SNR1, SNR2) in dB."""
     channel = Channel(bandwidth_hz=bandwidth_hz,
                       noise_w=thermal_noise_watts(bandwidth_hz))
-    n0 = channel.noise_w
-    snr_db = np.linspace(snr_db_min, snr_db_max, n_points)
-    s = np.asarray(db_to_linear(snr_db), dtype=float) * n0
-    # Broadcast: rows = S2 (y axis), cols = S1 (x axis).
-    gain = np.asarray(capacity_gain(channel, s[None, :], s[:, None]),
-                      dtype=float)
-    return GridResult(
-        name="fig3-capacity-gain",
-        x_label="SNR1 (dB)",
-        y_label="SNR2 (dB)",
-        x=snr_db,
-        y=snr_db,
-        values=gain,
-        meta={"bandwidth_hz": bandwidth_hz},
-    )
+    return snr_grid("fig3-capacity-gain", channel.noise_w,
+                    partial(capacity_gain, channel),
+                    snr_db_min, snr_db_max, n_points,
+                    meta={"bandwidth_hz": bandwidth_hz})

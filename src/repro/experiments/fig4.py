@@ -1,21 +1,23 @@
 """Fig. 4 — heatmap of the same-receiver completion-time gain.
 
 ``Z_{-SIC} / Z_{+SIC}`` (Eq. 5 over Eq. 6) for two transmitters to one
-receiver.  The claims to reproduce: moving away from the diagonal the
-gain rises to a ridge and then falls again, and the ridge sits where
-the resulting bitrates are equal — the stronger SNR (in dB) about twice
-the weaker (``S1 ~= S2^2`` in linear terms).
+receiver, over the grid :func:`repro.util.containers.snr_grid` builds.
+The claims to reproduce: moving away from the diagonal the gain rises
+to a ridge and then falls again, and the ridge sits where the resulting
+bitrates are equal — the stronger SNR (in dB) about twice the weaker
+(``S1 ~= S2^2`` in linear terms).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from repro.phy.noise import thermal_noise_watts
 from repro.phy.shannon import Channel
 from repro.sic.airtime import sic_gain_same_receiver
-from repro.util.containers import GridResult
-from repro.util.units import db_to_linear
+from repro.util.containers import GridResult, snr_grid
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 DEFAULT_PACKET_BITS = 12_000.0
@@ -29,21 +31,11 @@ def compute(snr_db_min: float = 0.5,
     """Completion-time gain grid over (SNR1, SNR2) in dB."""
     channel = Channel(bandwidth_hz=bandwidth_hz,
                       noise_w=thermal_noise_watts(bandwidth_hz))
-    n0 = channel.noise_w
-    snr_db = np.linspace(snr_db_min, snr_db_max, n_points)
-    s = np.asarray(db_to_linear(snr_db), dtype=float) * n0
-    gain = np.asarray(
-        sic_gain_same_receiver(channel, packet_bits, s[None, :], s[:, None]),
-        dtype=float)
-    return GridResult(
-        name="fig4-same-receiver-gain",
-        x_label="SNR1 (dB)",
-        y_label="SNR2 (dB)",
-        x=snr_db,
-        y=snr_db,
-        values=gain,
-        meta={"bandwidth_hz": bandwidth_hz, "packet_bits": packet_bits},
-    )
+    return snr_grid("fig4-same-receiver-gain", channel.noise_w,
+                    partial(sic_gain_same_receiver, channel, packet_bits),
+                    snr_db_min, snr_db_max, n_points,
+                    meta={"bandwidth_hz": bandwidth_hz,
+                          "packet_bits": packet_bits})
 
 
 def ridge_snr_ratio(grid: GridResult, min_snr_db: float = 6.0,

@@ -138,7 +138,8 @@ class BacklogCosts:
     ``sic_enabled`` — so one precompute serves every scheduler sharing
     those (Fig. 13 evaluates three technique sets per snapshot against
     the same backlog); a scheduler with another channel or packet size
-    rejects it.  Built by :meth:`SicScheduler.precompute_costs`;
+    rejects it, and so does a backlog with other names or RSS.  Built
+    by :meth:`SicScheduler.precompute_costs`;
     ``eq=False`` because ndarray fields break dataclass equality.
     """
 
@@ -221,7 +222,10 @@ class SicScheduler:
                            ) -> Optional[BacklogCosts]:
         if precomputed is None:
             return None
-        if precomputed.names != tuple(c.name for c in clients):
+        # Plain lists, not an array comparison: Fig. 13 checks three
+        # schedulers per snapshot.
+        if precomputed.names != tuple(c.name for c in clients) or \
+                precomputed.rss_w.tolist() != [c.rss_w for c in clients]:
             raise ValueError("precomputed costs do not match the backlog")
         if precomputed.channel != self.channel or \
                 precomputed.packet_bits != self.packet_bits:

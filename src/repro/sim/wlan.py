@@ -3,11 +3,15 @@
 The scheduler promises that each slot's transmissions fit in the slot's
 duration *and* decode at the AP.  This simulator re-derives each slot's
 concrete transmission plan (who transmits when, at which power and
-bitrate), plays it through the discrete-event engine, and asks the
-operational :class:`~repro.sic.receiver.SicReceiver` whether each packet
-actually decodes.  With perfect cancellation every packet must decode
-and every measured slot duration must equal the scheduled one — the
-integration tests assert both.  With an *imperfect* receiver
+bitrate) and asks the operational receiver whether each packet actually
+decodes: pair schedules through :meth:`UplinkSimulator.plan_slot` and
+the :class:`~repro.sic.receiver.SicReceiver`, k-SIC group schedules
+through the successive rate limits and a
+:class:`~repro.sic.ksic.SuccessiveReceiver`.  Both kinds of schedule
+are judged before the run and then played by one loop on the
+discrete-event engine.  With perfect cancellation every packet must
+decode and every measured slot duration must equal the scheduled one —
+the integration tests assert both.  With an *imperfect* receiver
 (``cancellation_efficiency < 1``) failures surface here, which is how
 the imperfection ablation measures SIC's collapse.
 """
@@ -15,7 +19,7 @@ the imperfection ablation measures SIC's collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.phy.shannon import Channel, airtime, shannon_rate
 from repro.scheduling.scheduler import Schedule, ScheduledSlot, UploadClient
@@ -52,6 +56,32 @@ class _PlannedTx:
     @property
     def duration_s(self) -> float:
         return self.bits / self.rate_bps
+
+
+@dataclass(frozen=True)
+class _Packet:
+    """One packet of a slot, judged before the run starts."""
+
+    client: str
+    offset_s: float        # start offset within the slot
+    duration_s: float
+    rate_bps: float
+    bits: float
+    decoded: bool
+    concurrent_with: Tuple[str, ...]
+    #: What strict mode raises if the packet does not decode.
+    failure: str
+
+
+def _rss_by_name(schedule, clients: Sequence[UploadClient]
+                 ) -> Dict[str, float]:
+    """Each client's RSS by name; every scheduled client must have one."""
+    rss = {c.name: c.rss_w for c in clients}
+    missing = [n for slot in schedule.slots for n in slot.clients
+               if n not in rss]
+    if missing:
+        raise ValueError(f"schedule references unknown clients {missing}")
+    return rss
 
 
 @dataclass
@@ -169,67 +199,17 @@ class UplinkSimulator:
         return [self.plan_slot(slot, rss) for slot in schedule.slots]
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: every packet is planned and judged up front, so a
+    # planning error surfaces before any event fires instead of mid-run;
+    # then one loop plays the slots.
     # ------------------------------------------------------------------
 
     def run(self, schedule: Schedule,
             clients: Sequence[UploadClient]) -> SimulationMetrics:
         """Play a schedule through the event engine; return metrics."""
-        rss = {c.name: c.rss_w for c in clients}
-        missing = [n for slot in schedule.slots for n in slot.clients
-                   if n not in rss]
-        if missing:
-            raise ValueError(f"schedule references unknown clients {missing}")
-
-        engine = EventScheduler()
-        metrics = SimulationMetrics()
-        slots = list(schedule.slots)
-        # Plan every slot up front, so a planning error surfaces before
-        # any event fires instead of mid-run.
-        plans = self.plan_schedule(schedule, rss)
-
-        def start_slot(index: int) -> None:
-            if index >= len(slots):
-                return
-            segments = plans[index]
-            slot_start = engine.now_s
-            slot_end = slot_start
-            for seg in segments:
-                begin = slot_start + seg.offset_s
-                end = begin + seg.duration_s
-                slot_end = max(slot_end, end)
-
-                def finish(seg=seg, begin=begin, end=end) -> None:
-                    decoded = self._decode(seg)
-                    metrics.record(PacketRecord(
-                        client=seg.client,
-                        start_s=begin,
-                        end_s=end,
-                        rate_bps=seg.rate_bps,
-                        bits=seg.bits,
-                        decoded=decoded,
-                        concurrent_with=((seg.concurrent_client,)
-                                         if seg.concurrent_client else ()),
-                    ))
-                    if self.strict and not decoded:
-                        raise SimulationError(
-                            f"packet from {seg.client} failed to decode "
-                            f"(rate {seg.rate_bps:.3g} bps, "
-                            f"power {seg.power_w:.3g} W, concurrent "
-                            f"{seg.concurrent_power_w:.3g} W)")
-
-                engine.schedule_at(end, finish, label=f"end:{seg.client}")
-            engine.schedule_at(slot_end, lambda: start_slot(index + 1),
-                               label=f"slot:{index + 1}")
-
-        if slots:
-            engine.schedule_at(0.0, lambda: start_slot(0), label="slot:0")
-        engine.run()
-        return metrics
-
-    # ------------------------------------------------------------------
-    # Group (k-SIC) schedules
-    # ------------------------------------------------------------------
+        rss = _rss_by_name(schedule, clients)
+        return self._play([[self._judged(seg) for seg in plan]
+                           for plan in self.plan_schedule(schedule, rss)])
 
     def run_groups(self, schedule, clients: Sequence[UploadClient],
                    receiver=None,
@@ -244,84 +224,85 @@ class UplinkSimulator:
         As with :meth:`run`, strict mode raises if any scheduled packet
         fails to decode.
         """
-        from repro.sic.ksic import (
-            SuccessiveReceiver,
-            successive_rate_limits,
-        )
+        from repro.sic.ksic import SuccessiveReceiver, successive_rate_limits
 
         if receiver is None:
             receiver = SuccessiveReceiver(channel=self.channel)
-        rss = {c.name: c.rss_w for c in clients}
-        missing = [n for slot in schedule.slots for n in slot.clients
-                   if n not in rss]
-        if missing:
-            raise ValueError(f"schedule references unknown clients {missing}")
-
-        engine = EventScheduler()
-        metrics = SimulationMetrics()
-        slots = list(schedule.slots)
+        rss = _rss_by_name(schedule, clients)
         bits = self.packet_bits
         b, n0 = self.channel.bandwidth_hz, self.channel.noise_w
-
-        def start_slot(index: int) -> None:
-            if index >= len(slots):
-                return
-            slot = slots[index]
-            slot_start = engine.now_s
+        plans: List[List[_Packet]] = []
+        for slot in schedule.slots:
             powers = [rss[name] for name in slot.clients]
+            packets: List[_Packet] = []
             if slot.used_sic and len(slot.clients) > 1:
                 rates = successive_rate_limits(self.channel, powers,
                                                planned_efficiency)
-                txs = [Transmission(p, r, name) for name, p, r
-                       in zip(slot.clients, powers, rates)]
-                outcome = receiver.resolve(txs)
-                slot_end = slot_start
-                for name, power, rate, ok in zip(slot.clients, powers,
-                                                 rates, outcome.decoded):
-                    end = slot_start + bits / rate
-                    slot_end = max(slot_end, end)
-                    others = tuple(n for n in slot.clients if n != name)
-
-                    def finish(name=name, power=power, rate=rate, ok=ok,
-                               end=end, others=others,
-                               begin=slot_start) -> None:
-                        metrics.record(PacketRecord(
-                            client=name, start_s=begin, end_s=end,
-                            rate_bps=rate, bits=bits, decoded=ok,
-                            concurrent_with=others))
-                        if self.strict and not ok:
-                            raise SimulationError(
-                                f"group packet from {name} failed to "
-                                f"decode")
-
-                    engine.schedule_at(end, finish, label=f"end:{name}")
+                outcome = receiver.resolve(
+                    [Transmission(p, r, name) for name, p, r
+                     in zip(slot.clients, powers, rates)])
+                for name, rate, ok in zip(slot.clients, rates,
+                                          outcome.decoded):
+                    packets.append(_Packet(
+                        name, 0.0, bits / rate, rate, bits, ok,
+                        tuple(n for n in slot.clients if n != name),
+                        f"group packet from {name} failed to decode"))
             else:
                 # Serialised slot: members go one after another, clean.
                 offset = 0.0
-                slot_end = slot_start
-                for name in slot.clients:
-                    rate = shannon_rate(b, rss[name], 0.0, n0)
-                    begin = slot_start + offset
-                    end = begin + bits / rate
+                for name, power in zip(slot.clients, powers):
+                    rate = shannon_rate(b, power, 0.0, n0)
+                    packets.append(_Packet(
+                        name, offset, bits / rate, rate, bits,
+                        self.receiver.decode_single(
+                            Transmission(power, rate, name)),
+                        (), f"solo packet from {name} failed to decode"))
                     offset += bits / rate
-                    slot_end = max(slot_end, end)
+            plans.append(packets)
+        return self._play(plans)
 
-                    def finish(name=name, rate=rate, begin=begin,
-                               end=end) -> None:
-                        tx = Transmission(rss[name], rate, name)
-                        ok = self.receiver.decode_single(tx)
-                        metrics.record(PacketRecord(
-                            client=name, start_s=begin, end_s=end,
-                            rate_bps=rate, bits=bits, decoded=ok))
-                        if self.strict and not ok:
-                            raise SimulationError(
-                                f"solo packet from {name} failed to decode")
+    def _judged(self, seg: _PlannedTx) -> _Packet:
+        """A planned segment with the operational receiver's verdict."""
+        return _Packet(
+            seg.client, seg.offset_s, seg.duration_s, seg.rate_bps,
+            seg.bits, self._decode(seg),
+            (seg.concurrent_client,) if seg.concurrent_client else (),
+            f"packet from {seg.client} failed to decode "
+            f"(rate {seg.rate_bps:.3g} bps, power {seg.power_w:.3g} W, "
+            f"concurrent {seg.concurrent_power_w:.3g} W)")
 
-                    engine.schedule_at(end, finish, label=f"end:{name}")
+    def _play(self, plans: List[List[_Packet]]) -> SimulationMetrics:
+        """Play judged slots back to back on one event engine.
+
+        A slot starts when the previous slot's last packet ends.  Each
+        packet is recorded at its end event, where strict mode raises
+        its failure if it did not decode.
+        """
+        engine = EventScheduler()
+        metrics = SimulationMetrics()
+
+        def start_slot(index: int) -> None:
+            if index >= len(plans):
+                return
+            slot_start = engine.now_s
+            slot_end = slot_start
+            for packet in plans[index]:
+                begin = slot_start + packet.offset_s
+                end = begin + packet.duration_s
+                slot_end = max(slot_end, end)
+
+                def finish(packet=packet, begin=begin, end=end) -> None:
+                    metrics.record(PacketRecord(
+                        packet.client, begin, end, packet.rate_bps,
+                        packet.bits, packet.decoded, packet.concurrent_with))
+                    if self.strict and not packet.decoded:
+                        raise SimulationError(packet.failure)
+
+                engine.schedule_at(end, finish, label=f"end:{packet.client}")
             engine.schedule_at(slot_end, lambda: start_slot(index + 1),
                                label=f"slot:{index + 1}")
 
-        if slots:
+        if plans:
             engine.schedule_at(0.0, lambda: start_slot(0), label="slot:0")
         engine.run()
         return metrics

@@ -3,15 +3,18 @@
 Each paper figure is regenerated as structured data rather than as a
 plot; these containers are the common shapes (a 1-D parameter sweep and a
 2-D grid/heatmap) plus pretty-printers used by the benchmark harness to
-print the same rows/series the paper reports.
+print the same rows/series the paper reports.  :func:`snr_grid` builds
+the two-SNR heatmaps of Figs. 3, 4 and 8 from their gain functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
+
+from repro.util.units import ArrayLike, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,22 @@ class GridResult:
             "values": self.values.tolist(),
             "meta": dict(self.meta),
         }
+
+
+def snr_grid(name: str, noise_w: float,
+             gain: Callable[[np.ndarray, np.ndarray], ArrayLike],
+             snr_db_min: float, snr_db_max: float, n_points: int,
+             meta: Dict[str, object]) -> GridResult:
+    """``gain(s1, s2)`` over ``n_points`` x ``n_points`` SNRs (dB).
+
+    Each SNR becomes a linear RSS over ``noise_w``; ``gain`` sees the
+    RSSs broadcast with rows = SNR2 (y axis), columns = SNR1 (x axis).
+    """
+    snr_db = np.linspace(snr_db_min, snr_db_max, n_points)
+    s = np.asarray(db_to_linear(snr_db), dtype=float) * noise_w
+    values = np.asarray(gain(s[None, :], s[:, None]), dtype=float)
+    return GridResult(name, "SNR1 (dB)", "SNR2 (dB)", snr_db, snr_db,
+                      values, meta)
 
 
 def ascii_heatmap(grid: GridResult, width: int = 40, height: int = 16,

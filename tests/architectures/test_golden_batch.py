@@ -23,6 +23,7 @@ from repro.architectures.residential import (
     evaluate_residential_rows,
     evaluate_residential_rows_scalar,
 )
+from repro.experiments.runner import ExecutionPolicy
 from repro.phy.pathloss import FreeSpace, LogDistancePathLoss
 from repro.phy.shannon import Channel
 from repro.sic.scenarios import CASE_ORDER
@@ -173,6 +174,39 @@ class TestResidentialGolden:
 
     def test_rejects_unreplayed_shadowed_model(self):
         assert_rejected_before_any_draw(evaluate_residential_rows, n_rows=4)
+
+
+class TestSweepKeys:
+    """Each sweep's cache entry and checkpoint run dir keep their name.
+
+    A drift in the key would orphan every user's fig7 cache entries and
+    checkpoints, so the digests are pinned literally.
+    """
+
+    @staticmethod
+    def _stores(tmp_path):
+        return {"cache": ResultCache(tmp_path / "cache"),
+                "policy": ExecutionPolicy(checkpoint_dir=tmp_path / "ckpt")}
+
+    @staticmethod
+    def _assert_named(tmp_path, digest):
+        assert [p.stem for p in (tmp_path / "cache").glob("*.npz")] \
+            == [digest]
+        assert [p.name for p in (tmp_path / "ckpt").iterdir()] == [digest]
+
+    def test_ewlan_key(self, tmp_path):
+        evaluate_ewlan_cross_pairs(n_grids=6, seed=3, chunk_size=4,
+                                   **self._stores(tmp_path))
+        self._assert_named(
+            tmp_path,
+            "a4d0bbbfe96e45b8374d65b559b78b04a31fa9f377507fc7af571161c4055b5d")
+
+    def test_residential_key(self, tmp_path):
+        evaluate_residential_rows(n_rows=5, seed=3, chunk_size=4,
+                                  **self._stores(tmp_path))
+        self._assert_named(
+            tmp_path,
+            "e4724dfbe8ac873161e86f899e55095826073e5c2c928221bf77d3deecc9158f")
 
 
 class TestMeshGolden:

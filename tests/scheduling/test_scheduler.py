@@ -336,6 +336,20 @@ class TestPrecomputedCosts:
                     with pytest.raises(ValueError,
                                        match="another channel or packet"):
                         call(backlog, precomputed=pre)
+        # Same names, a tenth of the RSS: its solo airtimes and serial
+        # baseline would skew the gain (1.068 would read 1.390 through
+        # schedule and 1.090 through schedule_gain).
+        backlog = [UploadClient(f"C{i}", 1e-9 * (i + 1)) for i in range(4)]
+        quieter = [UploadClient(c.name, c.rss_w / 10) for c in backlog]
+        every = SicScheduler(techniques=TechniqueSet.ALL)
+        pre = every.precompute_costs(quieter)
+        for call in (every.schedule, every.schedule_gain):
+            with pytest.raises(ValueError,
+                               match="precomputed costs do not match"):
+                call(backlog, precomputed=pre)
+        with pytest.raises(ValueError, match="precomputed costs do not match"):
+            every.pairing_to_schedule(backlog, [(0, 1), (2, 3)],
+                                      precomputed=pre)
 
     def test_duplicate_names_rejected_by_gain_path(self, scheduler):
         clients = [UploadClient("X", 1e-9), UploadClient("X", 1e-10)]

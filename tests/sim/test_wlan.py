@@ -118,6 +118,73 @@ class TestPlanScheduleGolden:
             simulator.plan_schedule(schedule, rss)
 
 
+class TestRunGolden:
+    """``run``'s packets and strict-mode message, pinned to recorded
+    values: every field of every record, in event order."""
+
+    #: ``TestPlanScheduleGolden.all_modes`` under a receiver that
+    #: cancels 90%, non-strict: (client, start_s, end_s, rate_bps, bits,
+    #: decoded, concurrent_with) per packet.
+    RECORDED = [
+        ("C1", 0.0, 3.01029973874716e-05, 398631400.24036986, 12000.0,
+         True, ()),
+        ("C1", 3.01029973874716e-05, 6.02059947749432e-05,
+         398631400.24036986, 12000.0, True, ()),
+        ("C2", 6.02059947749432e-05, 0.00012040328381191046,
+         199344525.17671984, 12000.0, True, ()),
+        ("C2", 0.00012040328381191046, 0.0001806005728488777,
+         199344525.17671984, 12000.0, False, ("C1",)),
+        ("C1", 0.00012040328381191046, 0.00018060927423770826,
+         199315714.5183031, 12000.0, True, ("C2",)),
+        ("C3", 0.00018060927423770826, 0.0002408065632746755,
+         199344525.17671984, 12000.0, False, ("C2",)),
+        ("C2", 0.00018060927423770826, 0.0007810420703583029,
+         19985583.86139495, 12000.0, True, ("C3",)),
+        ("C1", 0.0007810420703583029, 0.0008412437119511564,
+         199330112.6430495, 12000.0, True, ("C2",)),
+        ("C2", 0.0007810420703583029, 0.0008412437119511564,
+         199330112.6430495, 12000.0, False, ("C1",)),
+        ("C4", 0.0008412437119511564, 0.0008753159438682367,
+         352192953.7578797, 12000.0, False, ("C1",)),
+        ("C1", 0.0008412437119511564, 0.0008753159438682367,
+         51699129.79018704, 1761.5047401224858, True, ("C4",)),
+        ("C1", 0.0008753159438682367, 0.0009010000602065478,
+         398631400.24036986, 10238.495259877514, True, ()),
+    ]
+
+    @staticmethod
+    def records(metrics):
+        return [(p.client, p.start_s, p.end_s, p.rate_bps, p.bits,
+                 p.decoded, p.concurrent_with) for p in metrics.packets]
+
+    def test_packets_match_recorded_values(self, channel):
+        schedule, rss = TestPlanScheduleGolden.all_modes(channel)
+        clients = [UploadClient(name, power) for name, power in rss.items()]
+        lossy = UplinkSimulator(
+            channel=channel,
+            receiver=SicReceiver(channel=channel,
+                                 cancellation_efficiency=0.9),
+            strict=False)
+        assert self.records(lossy.run(schedule, clients)) == self.RECORDED
+        # A perfect receiver decodes every packet of the same timeline.
+        perfect = UplinkSimulator(channel=channel).run(schedule, clients)
+        assert self.records(perfect) == [
+            record[:5] + (True,) + record[6:] for record in self.RECORDED]
+
+    def test_strict_message(self, channel):
+        schedule, rss = TestPlanScheduleGolden.all_modes(channel)
+        clients = [UploadClient(name, power) for name, power in rss.items()]
+        lossy = UplinkSimulator(
+            channel=channel,
+            receiver=SicReceiver(channel=channel,
+                                 cancellation_efficiency=0.9))
+        with pytest.raises(SimulationError) as info:
+            lossy.run(schedule, clients)
+        assert str(info.value) == (
+            "packet from C2 failed to decode (rate 1.99e+08 bps, "
+            "power 4.01e-10 W, concurrent 4.01e-07 W)")
+
+
 class TestImperfectCancellation:
     def test_residue_breaks_tight_schedules(self, channel, rng):
         # A schedule costed for perfect cancellation must fail under a
